@@ -25,6 +25,7 @@ from .evaluation import (
     avg_knn_batch,
     lof_batch,
     log_density_gmm,
+    reference_set,
     verify_corollary1,
     verify_prop1,
 )
@@ -136,14 +137,7 @@ def _cmd_eval(args) -> int:
     except OSError as exc:
         raise CheckpointError(f"cannot read {args.samples}: {exc}") from exc
     samples = np.atleast_2d(rows)[:, 1 : 1 + spec.dim]
-    eval_rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
-    reference = spec.sample(cfg.eval_reference_size, eval_rng)
-    if cfg.eval_reference == "real":
-        refset, offset = reference, None
-    elif cfg.eval_reference == "generated":
-        refset, offset = samples, 0
-    else:
-        refset, offset = np.concatenate([samples, reference]), 0
+    refset, offset = reference_set(cfg, samples)
     out = {
         "log_density_mean": float(np.mean(log_density_gmm(samples, spec))),
         "avg_knn_mean": float(np.mean(avg_knn_batch(samples, refset, cfg.eval_knn_k, offset))),

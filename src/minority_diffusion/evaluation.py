@@ -4,11 +4,13 @@ correlation, and the numeric verifiers for the metric/ELBO identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmm
+from .config import ExperimentConfig
+from .errors import NumericDegeneracyError
 from .gmm import GmmSpec
 from .minority import tweedie
 from .models import ScoreModel
@@ -20,121 +22,33 @@ def log_density_gmm(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None
     return gmm.log_density(x, spec, t, sched)
 
 
-def log_density_gmm_grad(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
-    return gmm.score(x, spec, t, sched)
+def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
+    """(refset, self_offset) for the neighbour metrics of `samples`.
 
-
-@dataclass(frozen=True)
-class DensityReport:
-    clean_log_density: np.ndarray
-    perturbed_log_density: np.ndarray | None = None
-    perturbed_t: int | None = None
-
-    def summary(self) -> dict:
-        vals = self.clean_log_density
-        out = {
-            "mean": float(np.mean(vals)),
-            "std_error": float(np.std(vals, ddof=1) / np.sqrt(vals.size)),
-            "q10": float(np.quantile(vals, 0.10)),
-            "q50": float(np.quantile(vals, 0.50)),
-            "q90": float(np.quantile(vals, 0.90)),
-        }
-        if self.perturbed_log_density is not None:
-            out["perturbed_mean"] = float(np.mean(self.perturbed_log_density))
-            out["perturbed_t"] = self.perturbed_t
-        return out
-
-
-@dataclass(frozen=True)
-class NeighborReport:
-    avg_knn: np.ndarray
-    lof: np.ndarray
-    knn_k: int
-    lof_k: int
-    reference_mode: str
-
-    def summary(self) -> dict:
-        return {
-            "avg_knn_mean": float(np.mean(self.avg_knn)),
-            "avg_knn_se": float(np.std(self.avg_knn, ddof=1) / np.sqrt(self.avg_knn.size)),
-            "lof_mean": float(np.mean(self.lof)),
-            "knn_k": self.knn_k,
-            "lof_k": self.lof_k,
-            "reference_mode": self.reference_mode,
-        }
-
-
-def _neighbor_order(dists: np.ndarray) -> np.ndarray:
-    # stable sort => ties broken by index order
-    return np.argsort(dists, kind="stable")
-
-
-def avg_knn(query, refset, k: int, exclude_index: int | None = None) -> float:
-    """Mean Euclidean distance from query to its k nearest reference points.
-
-    When the query is a member of the reference set, pass its index so it is
-    excluded from its own neighborhood.
+    eval.reference "real" draws eval.reference_size benchmark points,
+    "generated" uses the samples themselves and "pooled" both, samples first
+    (so each sample excludes itself at self_offset 0). The real points come
+    from their own stream of run.seed, so `sample` and a later `eval` of its
+    samples.csv see the same reference set.
     """
-    refset = np.atleast_2d(np.asarray(refset, float))
-    d = np.linalg.norm(refset - np.asarray(query, float), axis=1)
-    if exclude_index is not None:
-        d = np.delete(d, exclude_index)
-    if d.size < k or k < 1:
-        raise ValueError(f"need at least k={k} neighbors, have {d.size}")
-    order = _neighbor_order(d)
-    return float(np.mean(d[order[:k]]))
+    if cfg.eval_reference == "generated":
+        return samples, 0
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
+    real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
+    if cfg.eval_reference == "real":
+        return real, None
+    return np.concatenate([samples, real]), 0
 
 
-def _knn_stats(dists_row: np.ndarray, k: int):
-    """Neighbor indices (ties index-ordered) and the k-distance."""
-    order = _neighbor_order(dists_row)
-    nbrs = order[:k]
-    return nbrs, dists_row[nbrs[-1]]
-
-
-def _lrd(dists_row: np.ndarray, nbrs: np.ndarray, kdist: np.ndarray) -> float:
-    reach = np.maximum(kdist[nbrs], dists_row[nbrs])
-    mean_reach = float(np.mean(reach))
-    return np.inf if mean_reach == 0.0 else 1.0 / mean_reach
-
-
-def lof(query, refset, k: int, exclude_index: int | None = None) -> float:
-    """Local outlier factor of query w.r.t. refset.
-
-    Reachability uses reach_k(a, b) = max(k-distance(b), dist(a, b)). Local
-    reachability densities of reference points are computed within the full
-    reference set (each point excluding itself). A zero reachability sum, which
-    happens for duplicated points, makes the density infinite; a query with
-    infinite density gets LOF = 1 (duplicates are maximally inlying).
-    """
-    refset = np.atleast_2d(np.asarray(refset, float))
-    n = refset.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pair = np.linalg.norm(refset[:, None, :] - refset[None, :, :], axis=-1)
-    np.fill_diagonal(pair, np.inf)  # self-exclusion inside the reference set
-    avail = n - 1 if exclude_index is None else n - 1
-    if avail < k:
-        raise ValueError(f"need at least k={k} neighbors in the reference set")
-    ref_nbrs = []
-    kdist = np.empty(n)
-    for i in range(n):
-        nbrs, kd = _knn_stats(pair[i], k)
-        ref_nbrs.append(nbrs)
-        kdist[i] = kd
-    ref_lrd = np.array([_lrd(pair[i], ref_nbrs[i], kdist) for i in range(n)])
-
-    dq = np.linalg.norm(refset - np.asarray(query, float), axis=1)
-    if exclude_index is not None:
-        dq = dq.copy()
-        dq[exclude_index] = np.inf
-    if np.sum(np.isfinite(dq)) < k:
-        raise ValueError(f"need at least k={k} usable neighbors for the query")
-    q_nbrs, _ = _knn_stats(dq, k)
-    lrd_q = _lrd(dq, q_nbrs, kdist)
-    if np.isinf(lrd_q):
-        return 1.0
-    return float(np.mean(ref_lrd[q_nbrs]) / lrd_q)
+def _rank(queries, refset, cand, rows, self_offset):
+    """Reference indices `cand` (one row per query in `rows`) and their
+    distances, ordered by distance, ties by index; a query's own point is
+    at distance inf."""
+    dist = np.linalg.norm(queries[rows, None, :] - refset[cand], axis=-1)
+    if self_offset is not None:
+        dist[cand == (self_offset + rows)[:, None]] = np.inf
+    order = np.lexsort((cand, dist))
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _knn_scan(
@@ -148,55 +62,65 @@ def _knn_scan(
 
     Ties are broken by reference index. If queries are a contiguous slice of
     the reference set starting at self_offset, each query excludes itself.
-    Row-chunked so the full pairwise matrix is never materialized.
+    Exact: a KD-tree proposes k + 2 candidates per query (room for the query
+    itself and one spare), and their distances are recomputed with the same
+    primitive a full scan uses. A row whose spare lies within rounding of
+    its k-th distance may tie with a point the tree left out, so it is
+    scanned in full, `chunk` rows at a time.
     """
+    # deferred: importing scipy.spatial costs more than most commands use it
+    from scipy.spatial import cKDTree
+
     queries = np.atleast_2d(np.asarray(queries, float))
     refset = np.atleast_2d(np.asarray(refset, float))
-    nq = queries.shape[0]
-    if refset.shape[0] - (1 if self_offset is not None else 0) < k:
-        raise ValueError(f"need at least k={k} neighbors in the reference set")
-    nbr_idx = np.empty((nq, k), dtype=int)
-    nbr_dist = np.empty((nq, k))
-    for lo in range(0, nq, chunk):
-        hi = min(lo + chunk, nq)
-        block = queries[lo:hi]
-        d = np.linalg.norm(block[:, None, :] - refset[None, :, :], axis=-1)
-        if self_offset is not None:
-            rows = np.arange(lo, hi)
-            d[np.arange(hi - lo), self_offset + rows] = np.inf
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        nbr_idx[lo:hi] = order
-        nbr_dist[lo:hi] = np.take_along_axis(d, order, axis=1)
-    return nbr_idx, nbr_dist
+    nq, n = queries.shape[0], refset.shape[0]
+    if k < 1 or n - (1 if self_offset is not None else 0) < k:
+        raise ValueError(f"need at least k={k} >= 1 neighbors in the reference set")
+    if not (np.isfinite(queries).all() and np.isfinite(refset).all()):
+        raise NumericDegeneracyError("non-finite point in the neighbor search")
+    width = min(k + 2, n)
+    _, cand = cKDTree(refset).query(queries, k=width)
+    rows = np.arange(nq)
+    nbr_idx, nbr_dist = _rank(queries, refset, cand.reshape(nq, width), rows, self_offset)
+    if width < n:
+        tied = rows[nbr_dist[:, k] <= nbr_dist[:, k - 1] * (1.0 + 1e-9)]
+        for lo in range(0, tied.size, chunk):
+            r = tied[lo : lo + chunk]
+            every = np.broadcast_to(np.arange(n), (r.size, n))
+            idx, dist = _rank(queries, refset, every, r, self_offset)
+            nbr_idx[r], nbr_dist[r] = idx[:, :width], dist[:, :width]
+    return nbr_idx[:, :k], nbr_dist[:, :k]
 
 
 def avg_knn_batch(queries, refset, k: int, self_offset: int | None = None) -> np.ndarray:
-    """avg_knn for many queries against one reference set."""
+    """Mean Euclidean distance from each query to its k nearest reference points."""
     _, nbr_dist = _knn_scan(queries, refset, k, self_offset)
     return nbr_dist.mean(axis=1)
 
 
+def _lrd(mean_reach: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(mean_reach == 0.0, np.inf, 1.0 / np.where(mean_reach == 0, 1, mean_reach))
+
+
 def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.ndarray:
-    """LOF for many queries against one reference set (same conventions as lof)."""
+    """Local outlier factor of each query w.r.t. refset.
+
+    Reachability uses reach_k(a, b) = max(k-distance(b), dist(a, b)). Local
+    reachability densities of reference points are computed within the full
+    reference set (each point excluding itself). A zero reachability sum, which
+    happens for duplicated points, makes the density infinite; a query with
+    infinite density gets LOF = 1 (duplicates are maximally inlying).
+    """
     refset = np.atleast_2d(np.asarray(refset, float))
     ref_idx, ref_dist = _knn_scan(refset, refset, k, self_offset=0)
     kdist = ref_dist[:, -1]
-    reach = np.maximum(kdist[ref_idx], ref_dist)
-    mean_reach = reach.mean(axis=1)
-    with np.errstate(divide="ignore"):
-        ref_lrd = np.where(mean_reach == 0.0, np.inf, 1.0 / np.where(mean_reach == 0, 1, mean_reach))
+    ref_lrd = _lrd(np.maximum(kdist[ref_idx], ref_dist).mean(axis=1))
 
     q_idx, q_dist = _knn_scan(queries, refset, k, self_offset)
-    q_reach = np.maximum(kdist[q_idx], q_dist)
-    q_mean = q_reach.mean(axis=1)
-    lrd_q = np.where(q_mean == 0.0, np.inf, 1.0 / np.where(q_mean == 0, 1, q_mean))
-    out = np.empty(q_idx.shape[0])
-    for i in range(out.size):
-        if np.isinf(lrd_q[i]):
-            out[i] = 1.0
-        else:
-            out[i] = np.mean(ref_lrd[q_idx[i]]) / lrd_q[i]
-    return out
+    lrd_q = _lrd(np.maximum(kdist[q_idx], q_dist).mean(axis=1))
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(lrd_q), 1.0, ref_lrd[q_idx].mean(axis=1) / lrd_q)
 
 
 def spearman(a, b) -> float:

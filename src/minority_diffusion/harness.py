@@ -23,10 +23,10 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import ExperimentConfig
 from .errors import CheckpointError, ConfigError
-from .evaluation import avg_knn_batch, lof_batch, log_density_gmm
+from .evaluation import avg_knn_batch, lof_batch, log_density_gmm, reference_set
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel
-from .sampler import guided_sample, guided_steps, resolve_s
+from .sampler import guided_sample, guided_steps, resolve_s, weight
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -87,14 +87,19 @@ def _fmt(v: float) -> str:
 
 
 def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
-    """(forward, backward) model invocations for one batched sampler run."""
+    """(forward, backward) model invocations for one batched sampler run.
+
+    Guidance runs only at the steps t % n == 0 whose schedule weight is
+    nonzero (switch_off skips every t < t_mid).
+    """
     sched = cfg.noise_schedule()
     gcfg = cfg.guidance_config()
-    n_guided = len(guided_steps(sched.T, gcfg.n)) if gcfg.w > 0 else 0
+    steps = guided_steps(sched.T, gcfg.n) if gcfg.w > 0 else []
+    n_guided = sum(1 for t in steps if weight(t, gcfg, sched) != 0.0)
     if gcfg.kind == "naive":
         return sched.T + n_guided, 0
     fwd = sched.T + n_guided * (1 + gcfg.mc_samples)
-    bwd = n_guided * (1 if gcfg.sg_mode == "sg_second" else 2) if n_guided else 0
+    bwd = n_guided * (1 if gcfg.sg_mode == "sg_second" else 2)
     return fwd, bwd
 
 
@@ -145,13 +150,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
         rng=eval_rng,
     ).value
 
-    reference = spec.sample(cfg.eval_reference_size, eval_rng)
-    if cfg.eval_reference == "real":
-        refset, offset = reference, None
-    elif cfg.eval_reference == "generated":
-        refset, offset = samples, 0
-    else:
-        refset, offset = np.concatenate([samples, reference]), 0
+    refset, offset = reference_set(cfg, samples)
     knn_vals = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)
     lof_vals = lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset)
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from minority_diffusion.config import ExperimentConfig
 from minority_diffusion.evaluation import (
-    avg_knn,
     avg_knn_batch,
-    lof,
+    lof_batch,
     log_density_gmm,
     spearman,
     verify_prop1,
@@ -352,8 +351,8 @@ def test_criterion_10_neighborhood_oracles(capsys):
             pts[:dup] = pts[dup : 2 * dup]
         q = rng.normal(size=2)
         k = int(rng.integers(2, 6))
-        knn_match = avg_knn(q, pts, k) == brute_avg_knn(q, pts, k)
-        lof_match = lof(q, pts, k) == brute_lof(q, pts, k)
+        knn_match = avg_knn_batch(q[None], pts, k)[0] == brute_avg_knn(q, pts, k)
+        lof_match = lof_batch(q[None], pts, k)[0] == brute_lof(q, pts, k)
         exact += int(knn_match and lof_match)
     report(capsys, 10, exact == 200, f"{exact}/200 instances exact")
 

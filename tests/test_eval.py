@@ -1,20 +1,23 @@
 """Evaluation unit tests.
 
 Neighborhood metrics are compared against independent O(N^2) brute-force
-implementations written here; rank correlation against scipy; the
+implementations written here, including a property test on tie-heavy
+inputs; rank correlation against scipy; the
 reconstruction/noise identity against exact closed forms for the unit
 Gaussian (via a cubature that is exact for quadratics in the noise).
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minority_diffusion.errors import NumericDegeneracyError
 from minority_diffusion.evaluation import (
     _average_ranks,
-    avg_knn,
     avg_knn_batch,
-    lof,
     lof_batch,
     log_density_gmm,
     spearman,
@@ -62,7 +65,7 @@ def brute_lof(query, refset, k, exclude_index=None):
     def lrd(point, nb, skip):
         row = dist_row(point, refset)
         reach = [max(kdist[j], float(row[j])) for j in nb]
-        mean_reach = sum(reach) / k
+        mean_reach = float(np.mean(np.array(reach)))
         return np.inf if mean_reach == 0.0 else 1.0 / mean_reach
 
     ref_lrd = {i: lrd(refset[i], nbrs[i], {i}) for i in range(n)}
@@ -86,15 +89,24 @@ def random_instance(rng):
 # ---- kNN / LOF ------------------------------------------------------------
 
 
+def knn1(query, refset, k, exclude_index=None):
+    """avg_knn_batch for a single query, excluding refset[exclude_index]."""
+    return avg_knn_batch(np.asarray(query)[None], refset, k, self_offset=exclude_index)[0]
+
+
+def lof1(query, refset, k, exclude_index=None):
+    return lof_batch(np.asarray(query)[None], refset, k, self_offset=exclude_index)[0]
+
+
 def test_avg_knn_matches_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(40):
         pts = random_instance(rng)
         q = rng.normal(size=2)
         k = int(rng.integers(1, 6))
-        assert avg_knn(q, pts, k) == brute_avg_knn(q, pts, k)
+        assert knn1(q, pts, k) == brute_avg_knn(q, pts, k)
         i = int(rng.integers(0, len(pts)))
-        assert avg_knn(pts[i], pts, k, exclude_index=i) == brute_avg_knn(
+        assert knn1(pts[i], pts, k, exclude_index=i) == brute_avg_knn(
             pts[i], pts, k, exclude_index=i
         )
 
@@ -105,31 +117,45 @@ def test_lof_matches_brute_force():
         pts = random_instance(rng)
         q = rng.normal(size=2)
         k = int(rng.integers(2, 6))
-        assert lof(q, pts, k) == pytest.approx(brute_lof(q, pts, k), rel=1e-12)
+        assert lof1(q, pts, k) == pytest.approx(brute_lof(q, pts, k), rel=1e-12)
         i = int(rng.integers(0, len(pts)))
-        assert lof(pts[i], pts, k, exclude_index=i) == pytest.approx(
+        assert lof1(pts[i], pts, k, exclude_index=i) == pytest.approx(
             brute_lof(pts[i], pts, k, exclude_index=i), rel=1e-12
         )
 
 
 def test_lof_duplicate_query_is_inlier():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-    assert lof(np.zeros(2), pts, 2) == 1.0
+    assert lof1(np.zeros(2), pts, 2) == 1.0
 
 
 def test_outlier_ranks_above_inlier():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(60, 2))
-    assert lof(np.array([8.0, 8.0]), pts, 10) > lof(np.zeros(2), pts, 10)
-    assert avg_knn(np.array([8.0, 8.0]), pts, 5) > avg_knn(np.zeros(2), pts, 5)
+    queries = np.array([[8.0, 8.0], [0.0, 0.0]])
+    out_lof, in_lof = lof_batch(queries, pts, 10)
+    out_knn, in_knn = avg_knn_batch(queries, pts, 5)
+    assert out_lof > in_lof
+    assert out_knn > in_knn
 
 
 def test_neighbor_metrics_need_enough_points():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        avg_knn(np.zeros(2), pts, 4)
+        knn1(np.zeros(2), pts, 4)
     with pytest.raises(ValueError):
-        lof(np.zeros(2), pts, 3)
+        lof1(np.zeros(2), pts, 3)
+    with pytest.raises(ValueError):
+        knn1(np.zeros(2), pts, 0)
+
+
+def test_neighbor_metrics_reject_non_finite_points():
+    pts = np.random.default_rng(11).normal(size=(10, 2))
+    with pytest.raises(NumericDegeneracyError):
+        knn1(np.array([np.nan, 0.0]), pts, 3)
+    pts[4] = np.inf
+    with pytest.raises(NumericDegeneracyError):
+        lof_batch(pts[:2], pts, 3, self_offset=0)
 
 
 def test_batch_versions_match_single_query():
@@ -139,8 +165,8 @@ def test_batch_versions_match_single_query():
     knn_b = avg_knn_batch(queries, refset, 5)
     lof_b = lof_batch(queries, refset, 7)
     for i, q in enumerate(queries):
-        assert knn_b[i] == avg_knn(q, refset, 5)
-        assert lof_b[i] == pytest.approx(lof(q, refset, 7), rel=1e-12)
+        assert knn_b[i] == brute_avg_knn(q, refset, 5)
+        assert lof_b[i] == pytest.approx(brute_lof(q, refset, 7), rel=1e-12)
 
 
 def test_batch_self_exclusion_pooled_mode():
@@ -152,16 +178,56 @@ def test_batch_self_exclusion_pooled_mode():
     knn_b = avg_knn_batch(samples, pooled, 5, self_offset=0)
     lof_b = lof_batch(samples, pooled, 7, self_offset=0)
     for i in range(30):
-        assert knn_b[i] == avg_knn(samples[i], pooled, 5, exclude_index=i)
-        assert lof_b[i] == pytest.approx(lof(samples[i], pooled, 7, exclude_index=i), rel=1e-12)
+        assert knn_b[i] == brute_avg_knn(samples[i], pooled, 5, exclude_index=i)
+        assert lof_b[i] == pytest.approx(
+            brute_lof(samples[i], pooled, 7, exclude_index=i), rel=1e-12
+        )
 
 
 def test_knn_chunking_is_transparent():
     rng = np.random.default_rng(5)
-    refset = rng.normal(size=(700, 2))  # crosses the 512-row chunk boundary
+    # large N: the tree's candidates, rows at and past the 512-row chunk size
+    refset = rng.normal(size=(3000, 2))
     a = avg_knn_batch(refset, refset, 5, self_offset=0)
-    for i in (0, 511, 512, 699):
-        assert a[i] == avg_knn(refset[i], refset, 5, exclude_index=i)
+    for i in (0, 511, 512, 2999):
+        assert a[i] == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
+    # every point duplicated: all 1400 rows tie and take the full-scan path,
+    # which runs 512 rows at a time
+    twice = np.tile(np.round(rng.normal(size=(700, 2)), 1), (2, 1))
+    b = avg_knn_batch(twice, twice, 5, self_offset=0)
+    for i in (0, 511, 512, 1023, 1024, 1399):
+        assert b[i] == brute_avg_knn(twice[i], twice, 5, exclude_index=i)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """(queries, refset, k, self_offset) on a 0.1 grid, with exact duplicates."""
+    dim = draw(st.sampled_from([2, 16]))
+    n = draw(st.integers(2, 40))
+    grid = st.integers(-5, 5) if dim == 2 else st.integers(-1, 1)
+    pts = draw(hnp.arrays(np.int64, (n, dim), elements=grid)) / 10.0
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        pts[dst] = pts[src]
+    k = draw(st.integers(1, n - 1))
+    self_offset = draw(st.sampled_from([None, 0]))
+    if self_offset == 0:
+        queries = pts[: draw(st.integers(1, min(n, 4)))]
+    else:
+        fresh = draw(hnp.arrays(np.int64, (draw(st.integers(1, 3)), dim), elements=grid)) / 10.0
+        queries = np.concatenate([fresh, pts[: draw(st.integers(0, 1))]])
+    return queries, pts, k, self_offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances())
+def test_neighbor_search_exact_on_ties_and_duplicates(instance):
+    queries, refset, k, self_offset = instance
+    knn_b = avg_knn_batch(queries, refset, k, self_offset=self_offset)
+    lof_b = lof_batch(queries, refset, k, self_offset=self_offset)
+    for i, q in enumerate(queries):
+        skip = None if self_offset is None else self_offset + i
+        assert knn_b[i] == brute_avg_knn(q, refset, k, exclude_index=skip)
+        assert lof_b[i] == brute_lof(q, refset, k, exclude_index=skip)
 
 
 # ---- rank correlation -----------------------------------------------------

@@ -168,6 +168,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
         {"guidance.sg": "none"},
         {"guidance.mc_samples": "2"},
         {"guidance.kind": "naive"},
+        {"guidance.schedule": "switch_off", "guidance.t_mid": "10"},
     ],
 )
 def test_call_count_formula(overrides):
@@ -257,6 +258,20 @@ def test_cli_sample_and_eval(tmp_path, capsys):
     )
     evals = json.loads(capsys.readouterr().out)
     assert evals["count"] == 8
+
+
+@pytest.mark.parametrize("mode", ["real", "generated", "pooled"])
+def test_cli_eval_reproduces_sample(tmp_path, capsys, mode):
+    cfg_path = write_small_config(tmp_path)
+    run = tmp_path / "run"
+    args = ["sample", "--config", str(cfg_path), "--set", f"eval.reference={mode}", "--out", str(run)]
+    assert main(args) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    args = ["eval", "--samples", str(run / "samples.csv"), "--config", str(run / "resolved-config")]
+    assert main(args + ["--out", str(tmp_path / "eval.json")]) == 0
+    evals = json.loads((tmp_path / "eval.json").read_text())
+    assert evals["avg_knn_mean"] == summary["avg_knn_mean"]
+    assert evals["lof_mean"] == summary["lof_mean"]
 
 
 def test_cli_verify(tmp_path, capsys):
