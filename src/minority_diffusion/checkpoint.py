@@ -42,6 +42,33 @@ def save_checkpoint(model: MlpEpsModel, path) -> None:
         fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
 
 
+def _is_int(v, low: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _check_header(header, path) -> None:
+    """Raise CheckpointError unless the header holds every key load_checkpoint
+    reads, with a usable type."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"corrupt checkpoint header in {path}: not a JSON object")
+    if header.get("version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {header.get('version')} unsupported (expected {FORMAT_VERSION})"
+        )
+    hidden, emb_dim = header.get("hidden"), header.get("emb_dim")
+    checks = {
+        "schedule_fingerprint": isinstance(header.get("schedule_fingerprint"), str),
+        "dim": _is_int(header.get("dim"), 1),
+        "hidden": isinstance(hidden, list) and all(_is_int(h, 1) for h in hidden),
+        "emb_dim": _is_int(emb_dim, 2) and emb_dim % 2 == 0,  # sin and cos halves
+        "train_seed": _is_int(header.get("train_seed"), 0),
+        "step_count": _is_int(header.get("step_count", 0), 0),
+    }
+    bad = [key for key, ok in checks.items() if not ok]
+    if bad:
+        raise CheckpointError(f"corrupt checkpoint header in {path}: missing or invalid {', '.join(bad)}")
+
+
 def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
     try:
         with open(path, "rb") as fh:
@@ -55,17 +82,22 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
     off += 4
     try:
         header = json.loads(raw[off : off + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
     off += hlen
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {header.get('version')} unsupported (expected {FORMAT_VERSION})"
-        )
+    _check_header(header, path)
     if header["schedule_fingerprint"] != sched.fingerprint():
         raise CheckpointError(
             "checkpoint was trained against a different noise schedule "
             f"({header['schedule_fingerprint'][:12]}... != {sched.fingerprint()[:12]}...)"
+        )
+    # count the parameters before building the model, so a corrupt size
+    # cannot ask for a huge allocation
+    expected = MlpEpsModel.param_count(header["dim"], header["hidden"], header["emb_dim"])
+    n_bytes = len(raw) - off
+    if n_bytes != 8 * expected:
+        raise CheckpointError(
+            f"truncated checkpoint: {n_bytes} parameter bytes, expected {8 * expected}"
         )
     model = MlpEpsModel(
         sched,
@@ -75,12 +107,7 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
         seed=header["train_seed"],
     )
     model.step_count = header.get("step_count", 0)
-    flat = np.frombuffer(raw[off:], dtype="<f8")
-    expected = sum(p.size for p in model.parameters())
-    if flat.size != expected:
-        raise CheckpointError(
-            f"truncated checkpoint: {flat.size} parameters, expected {expected}"
-        )
+    flat = np.frombuffer(raw, dtype="<f8", offset=off)
     pos = 0
     for p in model.parameters():
         p[...] = flat[pos : pos + p.size].reshape(p.shape)

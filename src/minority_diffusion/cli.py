@@ -29,7 +29,7 @@ from .evaluation import (
     verify_corollary1,
     verify_prop1,
 )
-from .harness import RECIPES, run_experiment
+from .harness import RECIPES, read_samples, run_experiment
 from .models import GmmScoreModel, MlpEpsModel, TrainOptions, train_dsm
 from .schedule import perturb
 
@@ -132,11 +132,7 @@ def _cmd_sample(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     spec = cfg.gmm_spec()
-    try:
-        rows = np.loadtxt(args.samples, delimiter=",", skiprows=1)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {args.samples}: {exc}") from exc
-    samples = np.atleast_2d(rows)[:, 1 : 1 + spec.dim]
+    samples = read_samples(args.samples, spec.dim)
     refset, offset = reference_set(cfg, samples)
     out = {
         "log_density_mean": float(np.mean(log_density_gmm(samples, spec))),

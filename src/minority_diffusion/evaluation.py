@@ -62,11 +62,13 @@ def _knn_scan(
 
     Ties are broken by reference index. If queries are a contiguous slice of
     the reference set starting at self_offset, each query excludes itself.
-    Exact: a KD-tree proposes k + 2 candidates per query (room for the query
-    itself and one spare), and their distances are recomputed with the same
-    primitive a full scan uses. A row whose spare lies within rounding of
-    its k-th distance may tie with a point the tree left out, so it is
-    scanned in full, `chunk` rows at a time.
+    Exact: a KD-tree proposes w = k + 2 candidates per query (room for the
+    query itself and one spare), and their distances are recomputed with the
+    same primitive a full scan uses. A row whose candidate w - 1 (in distance
+    order) lies within rounding of its k-th distance may tie with a point the
+    tree left out, so it is asked again with twice the width; once the width
+    reaches n the row is scanned in full. Each block of rows holds at most
+    `chunk` * n candidate pairs.
     """
     # deferred: importing scipy.spatial costs more than most commands use it
     from scipy.spatial import cKDTree
@@ -78,18 +80,27 @@ def _knn_scan(
         raise ValueError(f"need at least k={k} >= 1 neighbors in the reference set")
     if not (np.isfinite(queries).all() and np.isfinite(refset).all()):
         raise NumericDegeneracyError("non-finite point in the neighbor search")
-    width = min(k + 2, n)
-    _, cand = cKDTree(refset).query(queries, k=width)
-    rows = np.arange(nq)
-    nbr_idx, nbr_dist = _rank(queries, refset, cand.reshape(nq, width), rows, self_offset)
-    if width < n:
-        tied = rows[nbr_dist[:, k] <= nbr_dist[:, k - 1] * (1.0 + 1e-9)]
-        for lo in range(0, tied.size, chunk):
-            r = tied[lo : lo + chunk]
-            every = np.broadcast_to(np.arange(n), (r.size, n))
-            idx, dist = _rank(queries, refset, every, r, self_offset)
-            nbr_idx[r], nbr_dist[r] = idx[:, :width], dist[:, :width]
-    return nbr_idx[:, :k], nbr_dist[:, :k]
+    tree = cKDTree(refset)
+    nbr_idx = np.empty((nq, k), dtype=np.intp)
+    nbr_dist = np.empty((nq, k))
+    tied = np.zeros(nq, dtype=bool)
+    rows, width = np.arange(nq), k + 2
+    while rows.size:
+        width = min(width, n)
+        step = max(1, chunk * n // width)
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            if width < n:
+                cand = tree.query(queries[r], k=width)[1]
+            else:
+                cand = np.broadcast_to(np.arange(n), (r.size, n))
+            idx, dist = _rank(queries, refset, cand, r, self_offset)
+            nbr_idx[r], nbr_dist[r] = idx[:, :k], dist[:, :k]
+            # column w - 2 holds a non-self candidate ranked past the k-th
+            tied[r] = dist[:, width - 2] <= dist[:, k - 1] * (1.0 + 1e-9) if width < n else False
+        rows = rows[tied[rows]]
+        width *= 2
+    return nbr_idx, nbr_dist
 
 
 def avg_knn_batch(queries, refset, k: int, self_offset: int | None = None) -> np.ndarray:

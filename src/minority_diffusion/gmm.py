@@ -73,32 +73,39 @@ def log_density(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
     return logsumexp(np.log(spec.weights) + logn, axis=-1)
 
 
-def score(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
-    """Gradient of the mixture log-density at x (clean or perturbed)."""
-    means, variances = perturbed_params(spec, t, sched)
-    logn, diff = _component_logpdfs(x, means, variances)
-    resp = softmax(np.log(spec.weights) + logn, axis=-1)
-    grads = -diff / variances[..., :, None]  # per-component score
-    return np.sum(resp[..., None] * grads, axis=-2)
+def score_and_hvp(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
+    """(s, hvp): the mixture score s at x and u -> H(x) @ u, where H is the
+    Hessian of the mixture log-density.
 
-
-def hessian_vjp(x, u, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
-    """H(x) @ u where H is the Hessian of the mixture log-density.
-
-    H = sum_k r_k (g_k g_k^T - I / v_k) - s s^T with component scores g_k and
-    total score s; only the matrix-vector product is formed.
+    The responsibilities and component scores are computed once and shared
+    by both. H = sum_k r_k (g_k g_k^T - I / v_k) - s s^T with component
+    scores g_k; only the matrix-vector product is formed.
     """
     means, variances = perturbed_params(spec, t, sched)
     logn, diff = _component_logpdfs(x, means, variances)
     resp = softmax(np.log(spec.weights) + logn, axis=-1)
-    g = -diff / variances[..., :, None]  # (..., K, D)
-    u = np.asarray(u, float)
-    gu = np.sum(g * u[..., None, :], axis=-1)  # (..., K)
-    term = np.sum(resp[..., None] * (g * gu[..., None]), axis=-2)
-    term -= np.sum(resp / variances, axis=-1)[..., None] * u
+    g = -diff / variances[..., :, None]  # (..., K, D) per-component score
     s = np.sum(resp[..., None] * g, axis=-2)
-    term -= s * np.sum(s * u, axis=-1)[..., None]
-    return term
+
+    def hvp(u):
+        u = np.asarray(u, float)
+        gu = np.sum(g * u[..., None, :], axis=-1)  # (..., K)
+        term = np.sum(resp[..., None] * (g * gu[..., None]), axis=-2)
+        term -= np.sum(resp / variances, axis=-1)[..., None] * u
+        term -= s * np.sum(s * u, axis=-1)[..., None]
+        return term
+
+    return s, hvp
+
+
+def score(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
+    """Gradient of the mixture log-density at x (clean or perturbed)."""
+    return score_and_hvp(x, spec, t, sched)[0]
+
+
+def hessian_vjp(x, u, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
+    """H(x) @ u where H is the Hessian of the mixture log-density."""
+    return score_and_hvp(x, spec, t, sched)[1](u)
 
 
 def benchmark(name: str) -> GmmSpec:

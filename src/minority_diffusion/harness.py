@@ -32,6 +32,34 @@ from .schedule import perturb
 def _samples_header(dim: int) -> str:
     coords = ",".join(f"x{i}" for i in range(dim))
     return f"chain,{coords},log_density,metric,avg_knn,lof"
+
+
+def read_samples(path: str, dim: int) -> np.ndarray:
+    """Coordinates (rows, dim) of a samples.csv as write_report writes it.
+
+    The header must start chain,x0..x{dim-1} and name no further coordinate,
+    else ConfigError; an unreadable or malformed file raises CheckpointError.
+    """
+    want = ["chain", *(f"x{i}" for i in range(dim))]
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            if header[: dim + 1] != want or f"x{dim}" in header:
+                raise ConfigError(
+                    f"{path} does not hold {dim}-D samples: its header starts "
+                    f"{','.join(header[: dim + 2])!r}, expected {','.join(want)!r}"
+                )
+            body = [line for line in fh.read().splitlines() if line.strip()]
+        if not body:
+            raise CheckpointError(f"{path} holds no sample rows")
+        rows = np.loadtxt(body, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    if rows.shape[1] != len(header):
+        raise CheckpointError(f"{path}: rows of {rows.shape[1]} columns under a {len(header)}-column header")
+    return rows[:, 1 : 1 + dim]
+
+
 TRACE_HEADER = "chain,t,weight,guidance_l2,guidance_linf,metric"
 SCHEMA_VERSION = 1
 
@@ -80,10 +108,6 @@ def _atomic_write(path: str, data: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(data)
     os.replace(tmp, path)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -175,18 +199,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
 def write_report(report: RunReport, out_dir: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # floats are written as repr of Python floats (tolist), which round-trip exactly
         lines = [_samples_header(report.samples.shape[1])]
-        for c in range(report.samples.shape[0]):
-            coords = ",".join(_fmt(v) for v in report.samples[c])
-            lines.append(
-                f"{c},{coords},{_fmt(report.log_density[c])},{_fmt(report.metric[c])},"
-                f"{_fmt(report.avg_knn[c])},{_fmt(report.lof[c])}"
-            )
+        columns = (report.log_density, report.metric, report.avg_knn, report.lof)
+        for c, (coords, ld, mval, knn, lof) in enumerate(
+            zip(report.samples.tolist(), *(col.tolist() for col in columns))
+        ):
+            lines.append(f"{c},{','.join(map(repr, coords))},{ld!r},{mval!r},{knn!r},{lof!r}")
         _atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
 
         tlines = [TRACE_HEADER]
         for chain, t, w_t, l2, linf, mval in report.trace_rows:
-            tlines.append(f"{chain},{t},{_fmt(w_t)},{_fmt(l2)},{_fmt(linf)},{_fmt(mval)}")
+            tlines.append(f"{chain},{t},{w_t!r},{l2!r},{linf!r},{mval!r}")
         _atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(tlines) + "\n")
 
         _atomic_write(

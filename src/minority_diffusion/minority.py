@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericDegeneracyError
-from .models import ScoreModel
+from .models import ScoreModel, eps_to_score
 from .schedule import NoiseSchedule, perturb
 
 _ALPHA_BAR_FLOOR = 1e-12
@@ -85,11 +85,16 @@ class MetricEval:
 
 def tweedie(x_t: np.ndarray, t, model: ScoreModel, sched: NoiseSchedule) -> np.ndarray:
     """Posterior mean (x_t + (1 - abar_t) score(x_t, t)) / sqrt(abar_t)."""
+    return tweedie_from_eps(x_t, t, model.eps(x_t, t), sched)
+
+
+def tweedie_from_eps(x_t: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """tweedie() given eps(x_t, t) already evaluated, e.g. by model.linearize."""
     ab = float(sched.alpha_bar(t))
     if ab < _ALPHA_BAR_FLOOR:
         raise NumericDegeneracyError(f"alpha_bar({t}) = {ab} too small for Tweedie denoising")
     x_t = np.asarray(x_t, float)
-    return (x_t + (1.0 - ab) * model.score(x_t, t)) / np.sqrt(ab)
+    return (x_t + (1.0 - ab) * eps_to_score(eps, ab)) / np.sqrt(ab)
 
 
 def _draws(eps, m, shape, rng):

@@ -1,6 +1,9 @@
 """Score / noise-predictor models.
 
-Every model exposes eps(x, t), score(x, t) and input_vjp(x, t, cotangent).
+Every model implements eps(x, t) and linearize(x, t) -> (eps, vjp), which
+evaluates eps once and returns its input pullback as a closure (in the style
+of jax.vjp), so a forward pass and the backward pass through it share their
+intermediate results; input_vjp(x, t, cotangent) is that pullback applied.
 The score is always derived from eps through the same code path
 (score = -eps / sqrt(1 - abar_t)) so the two stay consistent exactly.
 
@@ -25,6 +28,14 @@ from .gmm import GmmSpec
 from .schedule import NoiseSchedule
 
 
+def eps_to_score(eps: np.ndarray, alpha_bar) -> np.ndarray:
+    """score = -eps / sqrt(1 - alpha_bar), alpha_bar a scalar or one per row."""
+    c = np.sqrt(1.0 - np.asarray(alpha_bar))
+    if np.ndim(c):
+        c = c[..., None]
+    return -eps / c
+
+
 class ScoreModel:
     """Behavioral interface binding a noise predictor to a schedule."""
 
@@ -34,16 +45,17 @@ class ScoreModel:
     def eps(self, x: np.ndarray, t) -> np.ndarray:
         raise NotImplementedError
 
-    def input_vjp(self, x: np.ndarray, t, cotangent: np.ndarray) -> np.ndarray:
-        """J_eps(x, t)^T @ cotangent, the pullback of the input Jacobian of eps."""
+    def linearize(self, x: np.ndarray, t):
+        """(eps(x, t), vjp): eps evaluated once, and its input pullback
+        vjp(cotangent) = J_eps(x, t)^T @ cotangent sharing that evaluation."""
         raise NotImplementedError
 
+    def input_vjp(self, x: np.ndarray, t, cotangent: np.ndarray) -> np.ndarray:
+        """J_eps(x, t)^T @ cotangent, the pullback of the input Jacobian of eps."""
+        return self.linearize(x, t)[1](cotangent)
+
     def score(self, x: np.ndarray, t) -> np.ndarray:
-        ab = self.sched.alpha_bar(t)
-        c = np.sqrt(1.0 - np.asarray(ab))
-        if np.ndim(c):
-            c = c[..., None]
-        return -self.eps(x, t) / c
+        return eps_to_score(self.eps(x, t), self.sched.alpha_bar(t))
 
 
 class GmmScoreModel(ScoreModel):
@@ -57,14 +69,16 @@ class GmmScoreModel(ScoreModel):
         c = np.sqrt(1.0 - self.sched.alpha_bar(t))
         return -c * gmm.score(x, self.spec, t, self.sched)
 
-    def input_vjp(self, x, t, cotangent):
+    def linearize(self, x, t):
         # d eps / dx = -sqrt(1 - abar) * H; H symmetric, so the pullback is a plain product.
         c = np.sqrt(1.0 - self.sched.alpha_bar(t))
-        return -c * gmm.hessian_vjp(x, cotangent, self.spec, t, self.sched)
+        s, hvp = gmm.score_and_hvp(x, self.spec, t, self.sched)
+        return -c * s, lambda cot: -c * hvp(cot)
 
 
 class CallCountingModel(ScoreModel):
-    """Wrapper counting forward (eps) and backward (input_vjp) invocations."""
+    """Wrapper counting forward (eps, linearize) and backward (input_vjp, the
+    pullback returned by linearize) invocations."""
 
     def __init__(self, inner: ScoreModel):
         super().__init__(inner.sched)
@@ -79,6 +93,16 @@ class CallCountingModel(ScoreModel):
     def input_vjp(self, x, t, cotangent):
         self.backward_calls += 1
         return self.inner.input_vjp(x, t, cotangent)
+
+    def linearize(self, x, t):
+        self.forward_calls += 1
+        eps, vjp = self.inner.linearize(x, t)
+
+        def counted_vjp(cot):
+            self.backward_calls += 1
+            return vjp(cot)
+
+        return eps, counted_vjp
 
     def reset(self):
         self.forward_calls = 0
@@ -104,6 +128,10 @@ class TrainOptions:
     adam_eps: float = 1e-8
 
 
+def _mlp_layer_sizes(dim: int, hidden, emb_dim: int) -> list[int]:
+    return [dim + emb_dim, *hidden, dim]
+
+
 class MlpEpsModel(ScoreModel):
     """Noise predictor: MLP on concat(x, time-embedding), tanh activations."""
 
@@ -123,7 +151,7 @@ class MlpEpsModel(ScoreModel):
         self.step_count = 0
         self.loss_history: list[float] = []
         rng = np.random.default_rng(seed)
-        sizes = [dim + emb_dim, *hidden, dim]
+        sizes = _mlp_layer_sizes(dim, hidden, emb_dim)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -133,7 +161,13 @@ class MlpEpsModel(ScoreModel):
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.dim + self.emb_dim, *self.hidden, self.dim]
+        return _mlp_layer_sizes(self.dim, self.hidden, self.emb_dim)
+
+    @staticmethod
+    def param_count(dim: int, hidden, emb_dim: int) -> int:
+        """Number of parameters (weights and biases) of a network of this shape."""
+        sizes = _mlp_layer_sizes(dim, hidden, emb_dim)
+        return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -149,22 +183,23 @@ class MlpEpsModel(ScoreModel):
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            # in place on the fresh product: fewer large temporaries, same values
+            h = h @ w
+            h += b
             if i < n_layers - 1:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
-    def _flatten_in(self, x):
+    def _forward_nd(self, x, t):
+        """_forward on x of any leading shape: (eps, activations, x.shape)."""
         x = np.asarray(x, float)
-        return x.reshape(-1, x.shape[-1]), x.shape
+        t = np.asarray(t)
+        out, acts = self._forward(x.reshape(-1, x.shape[-1]), t.reshape(-1) if t.ndim else t)
+        return out.reshape(x.shape), acts, x.shape
 
     def eps(self, x, t):
-        x2d, shape = self._flatten_in(x)
-        t = np.asarray(t)
-        t2d = t.reshape(-1) if t.ndim else t
-        out, _ = self._forward(x2d, t2d)
-        return out.reshape(shape)
+        return self._forward_nd(x, t)[0]
 
     def _backward(self, acts, cot_out):
         """Backprop a cotangent on the output; returns (input grad, param grads)."""
@@ -179,14 +214,24 @@ class MlpEpsModel(ScoreModel):
             g = g @ self.weights[i].T
         return g, grads_w, grads_b
 
-    def input_vjp(self, x, t, cotangent):
-        x2d, shape = self._flatten_in(x)
-        cot2d = np.asarray(cotangent, float).reshape(-1, shape[-1])
-        t = np.asarray(t)
-        t2d = t.reshape(-1) if t.ndim else t
-        _, acts = self._forward(x2d, t2d)
-        g_in, _, _ = self._backward(acts, cot2d)
-        return g_in[:, : self.dim].reshape(shape)
+    def linearize(self, x, t):
+        """eps and its input pullback; the pullback reuses the forward
+        activations and back-propagates to the input only, the same steps
+        as _backward without the parameter gradients."""
+        out, acts, shape = self._forward_nd(x, t)
+
+        def vjp(cotangent):
+            g = np.asarray(cotangent, float).reshape(-1, shape[-1])
+            for i in range(len(self.weights) - 1, -1, -1):
+                if i < len(self.weights) - 1:
+                    # g is a fresh product here, so it is scaled in place
+                    d = np.square(acts[i + 1])
+                    np.subtract(1.0, d, out=d)
+                    g *= d
+                g = g @ self.weights[i].T
+            return g[:, : self.dim].reshape(shape)
+
+        return out, vjp
 
 
 def train_dsm(

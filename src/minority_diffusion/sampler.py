@@ -13,13 +13,15 @@ w = 0 sampler is bit-identical to plain ancestral sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .minority import SQUARED_ERROR, DistanceSpec, tweedie
+from .errors import ConfigError, NumericDegeneracyError
+# perfbench/tracing.py patches sampler.tweedie, so the name stays importable
+from .minority import DistanceSpec, tweedie, tweedie_from_eps  # noqa: F401
 from .models import ScoreModel
 from .schedule import NoiseSchedule
 
@@ -112,6 +114,10 @@ def guidance(
     three satisfy guidance(none) = guidance(sg_first) + guidance(sg_second)
     for shared noise. Supply `eps` (shape (m, ..., D) or (..., D)) to pin the
     metric's noise draws.
+
+    Both Tweedie maps, at (x_t, t) and (xs, s), come from model.linearize,
+    so each forward pass and its pullback share one evaluation of the
+    model; a pullback is called only for a branch that is differentiated.
     """
     x_t = np.asarray(x_t, float)
     s = resolve_s(cfg, sched)
@@ -128,23 +134,25 @@ def guidance(
             raise ValueError("guidance requires an rng when eps is not pinned")
         eps = rng.standard_normal((m,) + x_t.shape)
 
-    x0_hat = tweedie(x_t, t, model, sched)
+    eps_t, pullback_t = model.linearize(x_t, t)
+    x0_hat = tweedie_from_eps(x_t, t, eps_t, sched)
     cot = np.zeros_like(x0_hat)
     metric = np.zeros(x_t.shape[:-1])
     for j in range(m):
         xs = np.sqrt(a_s) * x0_hat + c_s * eps[j]
-        x0_hh = tweedie(xs, s, model, sched)
+        eps_s, pullback_s = model.linearize(xs, s)  # pullback_s unused under sg_second
+        x0_hh = tweedie_from_eps(xs, s, eps_s, sched)
         metric = metric + cfg.distance.value(x0_hat, x0_hh)
         grad_a, grad_b = cfg.distance.grads(x0_hat, x0_hh)
         if cfg.sg_mode in ("none", "sg_first"):
             # pull grad_b back through the second Tweedie map and the re-noising
-            u = (grad_b - c_s * model.input_vjp(xs, s, grad_b)) / np.sqrt(a_s)
+            u = (grad_b - c_s * pullback_s(grad_b)) / np.sqrt(a_s)
             cot = cot + np.sqrt(a_s) * u
         if cfg.sg_mode in ("none", "sg_second"):
             cot = cot + grad_a
     cot /= m
     metric = metric / m
-    g = (cot - c_t * model.input_vjp(x_t, t, cot)) / np.sqrt(a_t)
+    g = (cot - c_t * pullback_t(cot)) / np.sqrt(a_t)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
     if return_metric:
@@ -201,22 +209,22 @@ def guided_sample(
     up front from per-chain streams, so the batched loop matches chain-by-chain
     execution exactly). Guidance is evaluated at the pre-transition latent
     whenever t % n == 0 and the schedule weight is nonzero; with w = 0 the
-    guidance machinery is never touched.
+    guidance machinery is never touched. A chain state that turns
+    non-finite raises NumericDegeneracyError naming the timestep.
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
     T = sched.T
-    noise = np.empty((chains, T, dim))
-    for c in range(chains):
-        rng_z, _ = chain_rngs(seed, c)
-        noise[c] = rng_z.standard_normal((T, dim))
     g_steps = guided_steps(T, cfg.n)
     active = cfg.w > 0.0 and len(g_steps) > 0
+    noise = np.empty((chains, T, dim))
     eps_tape = None
     if active and cfg.kind == "self":
         eps_tape = np.empty((chains, len(g_steps), cfg.mc_samples, dim))
-        for c in range(chains):
-            _, rng_g = chain_rngs(seed, c)
+    for c in range(chains):
+        rng_z, rng_g = chain_rngs(seed, c)
+        noise[c] = rng_z.standard_normal((T, dim))
+        if eps_tape is not None:
             eps_tape[c] = rng_g.standard_normal((len(g_steps), cfg.mc_samples, dim))
 
     x = noise[:, 0, :].copy()
@@ -253,6 +261,9 @@ def guided_sample(
             if trace:
                 l2 = np.linalg.norm(g_vec, axis=-1)
                 linf = np.max(np.abs(g_vec), axis=-1)
-                for c in range(chains):
-                    rows.append((c, t, w_t, float(l2[c]), float(linf[c]), float(metric[c])))
+                rows.extend(
+                    zip(range(chains), repeat(t), repeat(float(w_t)), l2.tolist(), linf.tolist(), metric.tolist())
+                )
+        if not np.isfinite(x).all():
+            raise NumericDegeneracyError(f"non-finite chain state at t = {t}")
     return x, rows

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from minority_diffusion.errors import NumericDegeneracyError
 from minority_diffusion.evaluation import (
     _average_ranks,
+    _knn_scan,
     avg_knn_batch,
     lof_batch,
     log_density_gmm,
@@ -197,6 +198,23 @@ def test_knn_chunking_is_transparent():
     b = avg_knn_batch(twice, twice, 5, self_offset=0)
     for i in (0, 511, 512, 1023, 1024, 1399):
         assert b[i] == brute_avg_knn(twice[i], twice, 5, exclude_index=i)
+
+
+def test_tied_rows_widen_on_the_tree_then_scan_in_full():
+    rng = np.random.default_rng(14)
+    grid = np.round(rng.normal(size=(400, 2)), 1)
+    # 45 points at the origin tie until the width covers all of them, so
+    # their rows reach the full scan; the 15 at (0.5, 0.5) resolve on the tree
+    two = np.zeros((60, 2))
+    two[::4] = 0.5
+    for pts, k in ((grid, 12), (two, 9)):
+        idx, dist = _knn_scan(pts, pts, k, self_offset=0)
+        for chunk in (3, 7):  # blocks of a few rows, at every width
+            small_idx, small_dist = _knn_scan(pts, pts, k, self_offset=0, chunk=chunk)
+            np.testing.assert_array_equal(small_idx, idx)
+            np.testing.assert_array_equal(small_dist, dist)
+        for i in range(len(pts)):
+            assert dist[i].mean() == brute_avg_knn(pts[i], pts, k, exclude_index=i)
 
 
 @st.composite

@@ -2,16 +2,20 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minority_diffusion import harness
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
-from minority_diffusion.models import MlpEpsModel
+from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.schedule import build_schedule
 
 SMALL = {
@@ -132,6 +136,90 @@ def test_checkpoint_version_check(tmp_path):
     path.write_bytes(bytes(rebuilt))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path, sched)
+
+
+def _checkpoint_parts(tmp_path):
+    """(schedule, header dict, parameter bytes) of a small saved model."""
+    sched = build_schedule("cosine", 20)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(MlpEpsModel(sched, dim=2, hidden=(8,), emb_dim=4, seed=0), path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    return sched, json.loads(raw[start : start + hlen].decode()), raw[start + hlen :]
+
+
+def _checkpoint_bytes(header, params: bytes) -> bytes:
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + params
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: [h],
+        lambda h: "header",
+        lambda h: {k: v for k, v in h.items() if k != "dim"},
+        lambda h: {k: v for k, v in h.items() if k != "schedule_fingerprint"},
+        lambda h: {**h, "dim": "2"},
+        lambda h: {**h, "dim": 2.0},
+        lambda h: {**h, "dim": True},
+        lambda h: {**h, "hidden": 8},
+        lambda h: {**h, "hidden": [8, -1]},
+        lambda h: {**h, "emb_dim": None},
+        lambda h: {**h, "emb_dim": 3},
+        lambda h: {**h, "train_seed": -1},
+        lambda h: {**h, "schedule_fingerprint": 7},
+        lambda h: {**h, "dim": 10**12},
+    ],
+)
+def test_checkpoint_header_errors_are_typed(tmp_path, capsys, mutate):
+    sched, header, params = _checkpoint_parts(tmp_path)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_checkpoint_bytes(mutate(header), params))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, sched)
+    cfg_path = write_small_config(tmp_path)
+    args = ["sample", "--config", str(cfg_path), "--set", "model.kind=mlp", "--set", f"model.checkpoint={path}"]
+    assert main(args + ["--out", str(tmp_path / "run")]) == EXIT_IO
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _corrupt_checkpoints(draw, header, params):
+    kind = draw(st.sampled_from(["set", "delete", "replace", "none"]))
+    header = dict(header)
+    if kind == "set":
+        header[draw(st.sampled_from(sorted(header)))] = draw(_json_values)
+    elif kind == "delete":
+        del header[draw(st.sampled_from(sorted(header)))]
+    elif kind == "replace":
+        header = draw(_json_values)
+    raw = _checkpoint_bytes(header, params)
+    return raw[: draw(st.integers(0, len(raw)))]
+
+
+def test_checkpoint_fuzz_raises_only_checkpoint_error(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    sched, header, params = _checkpoint_parts(work)
+    path = work / "fuzz.ckpt"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_corrupt_checkpoints(header, params))
+    def check(raw):
+        path.write_bytes(raw)
+        try:
+            assert isinstance(load_checkpoint(path, sched), MlpEpsModel)
+        except CheckpointError:
+            pass
+
+    check()
 
 
 # ---- experiment driver ----------------------------------------------------
@@ -333,6 +421,54 @@ def test_cli_exit_codes(tmp_path, capsys):
         ]
     )
     assert rc == EXIT_NUMERIC
+
+
+def test_cli_eval_checks_samples_header(tmp_path, capsys):
+    cfg_path = write_small_config(tmp_path)
+    run2 = tmp_path / "run2"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(run2)]) == 0
+    wide = tmp_path / "wide.csv"
+    wide.write_text(harness._samples_header(16) + "\n" + ",".join(["0"] + ["0.5"] * 20) + "\n")
+    for samples, dim in ((wide, "2"), (run2 / "samples.csv", "16")):
+        args = ["eval", "--config", str(cfg_path), "--samples", str(samples)]
+        if dim == "16":
+            args += ["--set", "benchmark=inline", "--set", f"gmm.means={','.join(['0'] * 16)}"]
+            args += ["--set", "gmm.weights=1", "--set", "gmm.variances=1"]
+        assert main(args) == EXIT_CONFIG
+        assert "does not hold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,0.1,0.2,1,1,1,1\n1,0.1,oops,1,1,1,1\n",  # unparsable value
+        "0,0.1,0.2,1,1,1,1\n1,0.1,0.2\n",  # short row
+        "0,0.1,0.2\n",  # rows narrower than the header
+        "",  # header only
+    ],
+)
+def test_cli_eval_malformed_samples_is_io_error(tmp_path, capsys, body):
+    cfg_path = write_small_config(tmp_path)
+    path = tmp_path / "samples.csv"
+    path.write_text(harness._samples_header(2) + "\n" + body)
+    assert main(["eval", "--config", str(cfg_path), "--samples", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error") and "Traceback" not in err
+
+
+def test_cli_sample_non_finite_state_is_numeric_error(tmp_path, capsys, monkeypatch):
+    class NanModel(GmmScoreModel):
+        def eps(self, x, t):
+            out = super().eps(x, t)
+            return np.full_like(out, np.nan) if t == 7 else out
+
+    monkeypatch.setattr(harness, "GmmScoreModel", NanModel)
+    cfg_path = write_small_config(tmp_path)
+    with np.errstate(invalid="ignore"):
+        rc = main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == EXIT_NUMERIC
+    assert "t = 7" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "samples.csv").exists()
 
 
 def test_cli_recipe_runs_small(tmp_path, capsys):

@@ -137,3 +137,37 @@ def test_call_counting_wrapper(ring_model20):
     assert counted.backward_calls == 1
     counted.reset()
     assert counted.forward_calls == 0 and counted.backward_calls == 0
+
+
+@pytest.mark.parametrize("model_name", ["analytic", "mlp"])
+def test_linearize_matches_eps_and_input_vjp(model_name, ring_model20, mlp20):
+    model = ring_model20 if model_name == "analytic" else mlp20
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=2.0, size=(7, 2))
+    cot = rng.normal(size=(7, 2))
+    for t in (1, 10, 20):
+        eps, vjp = model.linearize(x, t)
+        np.testing.assert_array_equal(eps, model.eps(x, t))
+        np.testing.assert_array_equal(vjp(cot), model.input_vjp(x, t, cot))
+        np.testing.assert_array_equal(vjp(2.0 * cot), model.input_vjp(x, t, 2.0 * cot))
+
+
+def test_mlp_input_only_backward_matches_full_backward(mlp20):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(9, 2))
+    cot = rng.normal(size=(9, 2))
+    for t in (1, 10, 20):
+        _, acts = mlp20._forward(x, t)
+        g_in, _, _ = mlp20._backward(acts, cot)
+        np.testing.assert_array_equal(mlp20.linearize(x, t)[1](cot), g_in[:, :2])
+
+
+def test_call_counting_linearize(ring_model20):
+    counted = CallCountingModel(ring_model20)
+    x = np.ones((3, 2))
+    eps, vjp = counted.linearize(x, 5)
+    assert (counted.forward_calls, counted.backward_calls) == (1, 0)
+    vjp(x)
+    vjp(x)
+    assert (counted.forward_calls, counted.backward_calls) == (1, 2)
+    np.testing.assert_array_equal(eps, ring_model20.eps(x, 5))

@@ -9,9 +9,9 @@ chain-by-chain ancestral loop driven by the same per-chain streams.
 import numpy as np
 import pytest
 
-from minority_diffusion.errors import ConfigError
+from minority_diffusion.errors import ConfigError, NumericDegeneracyError
 from minority_diffusion.minority import tweedie
-from minority_diffusion.models import CallCountingModel
+from minority_diffusion.models import CallCountingModel, ScoreModel
 from minority_diffusion.sampler import (
     ChainState,
     GuidanceConfig,
@@ -224,3 +224,59 @@ def test_switch_off_skips_low_timesteps(ring_model20):
     # 20 transitions + 2 tweedie forwards per active guidance step (t = 11..20)
     assert counted.forward_calls == 20 + 10 * 2
     assert counted.backward_calls == 10  # sg_second: one pullback per step
+
+
+class TwoPassModel(ScoreModel):
+    """linearize as two independent evaluations: eps, and a pullback that
+    runs the inner model again from scratch."""
+
+    def __init__(self, inner):
+        super().__init__(inner.sched)
+        self.inner = inner
+
+    def eps(self, x, t):
+        return self.inner.eps(x, t)
+
+    def linearize(self, x, t):
+        return self.eps(x, t), lambda cot: self.inner.input_vjp(x, t, cot)
+
+
+class NanAt(TwoPassModel):
+    """eps turns NaN at one timestep."""
+
+    def __init__(self, inner, t_bad):
+        super().__init__(inner)
+        self.t_bad = t_bad
+
+    def eps(self, x, t):
+        out = self.inner.eps(x, t)
+        return np.full_like(out, np.nan) if t == self.t_bad else out
+
+
+@pytest.mark.parametrize("sg", ["none", "sg_first", "sg_second"])
+def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20):
+    cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6, sg_mode=sg, mc_samples=2)
+    for model in (ring_model20, mlp20):
+        fast, fast_rows = guided_sample(model, sched20, cfg, dim=2, chains=5, seed=1, trace=True)
+        slow, slow_rows = guided_sample(
+            TwoPassModel(model), sched20, cfg, dim=2, chains=5, seed=1, trace=True
+        )
+        np.testing.assert_array_equal(fast, slow)
+        assert fast_rows == slow_rows
+
+
+@pytest.mark.parametrize("t_bad", [20, 9, 6, 1])
+def test_non_finite_state_raises_with_timestep(t_bad, ring_model20, sched20):
+    # t = 9 and t = 6 are guided steps (n = 3), t = 20 and t = 1 are not
+    cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericDegeneracyError, match=f"t = {t_bad}$"):
+            guided_sample(NanAt(ring_model20, t_bad), sched20, cfg, dim=2, chains=3, seed=0)
+
+
+def test_trace_rows_hold_python_scalars(ring_model20, sched20):
+    cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
+    _, rows = guided_sample(ring_model20, sched20, cfg, dim=2, chains=3, seed=0, trace=True)
+    assert [r[0] for r in rows[:3]] == [0, 1, 2]
+    for row in rows:
+        assert [type(v) for v in row] == [int, int, float, float, float, float]
