@@ -18,15 +18,16 @@ from .minority import (
     MetricEval,
     inference_metric,
     minority_score,
+    round_trip,
     tweedie,
 )
 from .models import GmmScoreModel, MlpEpsModel, ScoreModel, TrainOptions, train_dsm
 from .sampler import (
     GuidanceConfig,
-    ancestral_step,
     guidance,
     guided_sample,
     naive_density_guidance,
+    reverse_step,
     weight,
 )
 from .schedule import NoiseSchedule, build_schedule, perturb, respace
@@ -49,7 +50,6 @@ __all__ = [
     "ScoreModel",
     "TrainOptions",
     "TrainingDivergenceError",
-    "ancestral_step",
     "benchmark",
     "build_schedule",
     "guidance",
@@ -59,6 +59,8 @@ __all__ = [
     "naive_density_guidance",
     "perturb",
     "respace",
+    "reverse_step",
+    "round_trip",
     "run_experiment",
     "train_dsm",
     "tweedie",

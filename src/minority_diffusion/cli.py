@@ -8,7 +8,6 @@ degeneracy, 5 for training divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .evaluation import (
     verify_corollary1,
     verify_prop1,
 )
-from .harness import RECIPES, read_samples, run_experiment
+from .harness import RECIPE_BASES, RECIPES, read_samples, run_experiment, to_json
 from .models import GmmScoreModel, MlpEpsModel, TrainOptions, train_dsm
 from .schedule import perturb
 
@@ -39,8 +38,9 @@ EXIT_NUMERIC = 4
 EXIT_TRAINING = 5
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _load_config(args, base: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """`base`, or the --config file when given, with --set/--seed/--chains applied."""
+    cfg = base
     if args.config:
         try:
             with open(args.config) as fh:
@@ -58,6 +58,15 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "chains", None) is not None:
         overrides["run.chains"] = str(args.chains)
     return cfg.with_overrides(overrides)
+
+
+def _emit(obj, path=None) -> None:
+    """Write obj as JSON to the file `path`, or to stdout."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(to_json(obj))
+    else:
+        sys.stdout.write(to_json(obj))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -125,7 +134,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _load_config(args)
     report = run_experiment(cfg, args.out)
-    print(json.dumps(report.summary(), indent=2, sort_keys=True))
+    _emit(report.summary())
     return 0
 
 
@@ -141,12 +150,7 @@ def _cmd_eval(args) -> int:
         "reference_mode": cfg.eval_reference,
         "count": int(samples.shape[0]),
     }
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(out, args.out)
     return 0
 
 
@@ -164,19 +168,14 @@ def _cmd_verify(args) -> int:
         x_t = perturb(x0, t, rng.standard_normal(x0.shape), sched)
         report = verify_corollary1(x_t, t, model, sched, m=args.mc, rng=rng)
     out = {"mode": args.mode, **report.summary()}
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(out, args.out)
     return 0
 
 
 def _cmd_recipe(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, RECIPE_BASES[args.recipe])
     summary = RECIPES[args.recipe](args.out, cfg)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(summary)
     return 0
 
 

@@ -207,37 +207,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-_KEYMAP = [
-    ("benchmark", "benchmark"),
-    ("gmm_weights", "gmm.weights"),
-    ("gmm_means", "gmm.means"),
-    ("gmm_variances", "gmm.variances"),
-    ("schedule_kind", "schedule.kind"),
-    ("schedule_timesteps", "schedule.timesteps"),
-    ("schedule_beta_start", "schedule.beta_start"),
-    ("schedule_beta_end", "schedule.beta_end"),
-    ("schedule_cosine_offset", "schedule.cosine_offset"),
-    ("schedule_respace", "schedule.respace"),
-    ("model_kind", "model.kind"),
-    ("model_checkpoint", "model.checkpoint"),
-    ("guidance_kind", "guidance.kind"),
-    ("guidance_w", "guidance.w"),
-    ("guidance_schedule", "guidance.schedule"),
-    ("guidance_t_mid", "guidance.t_mid"),
-    ("guidance_interval", "guidance.interval"),
-    ("guidance_s_fraction", "guidance.s_fraction"),
-    ("guidance_sg", "guidance.sg"),
-    ("guidance_distance", "guidance.distance"),
-    ("guidance_normalize", "guidance.normalize"),
-    ("guidance_mc_samples", "guidance.mc_samples"),
-    ("run_chains", "run.chains"),
-    ("run_seed", "run.seed"),
-    ("run_trace", "run.trace"),
-    ("eval_knn_k", "eval.knn_k"),
-    ("eval_lof_k", "eval.lof_k"),
-    ("eval_reference", "eval.reference"),
-    ("eval_reference_size", "eval.reference_size"),
-    ("eval_metric_t_fraction", "eval.metric_t_fraction"),
-    ("eval_metric_mc", "eval.metric_mc"),
-]
+# each key is its field name with the first "_" read as "."
+_KEYMAP = [(f.name, f.name.replace("_", ".", 1)) for f in fields(ExperimentConfig)]
 _KEY_TO_FIELD = {key: name for name, key in _KEYMAP}

@@ -110,6 +110,11 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
+def to_json(obj) -> str:
+    """The JSON text of every summary this package writes or prints."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
     """(forward, backward) model invocations for one batched sampler run.
 
@@ -137,8 +142,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     if cfg.model_kind == "mlp":
         if not cfg.model_checkpoint:
             raise ConfigError("model.kind = mlp requires model.checkpoint")
-        if not os.path.exists(cfg.model_checkpoint):
-            raise CheckpointError(f"checkpoint not found: {cfg.model_checkpoint}")
         base_model = load_checkpoint(cfg.model_checkpoint, sched)
     else:
         base_model = GmmScoreModel(spec, sched)
@@ -162,7 +165,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     log_density = log_density_gmm(samples, spec)
 
     eval_rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
-    t_metric = int(min(max(round(cfg.eval_metric_t_fraction * sched.T), 1), sched.T))
+    t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     noised = perturb(samples, t_metric, eval_rng.standard_normal(samples.shape), sched)
     metric = inference_metric(
         noised,
@@ -213,10 +216,7 @@ def write_report(report: RunReport, out_dir: str) -> None:
             tlines.append(f"{chain},{t},{w_t!r},{l2!r},{linf!r},{mval!r}")
         _atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(tlines) + "\n")
 
-        _atomic_write(
-            os.path.join(out_dir, "summary.json"),
-            json.dumps(report.summary(), indent=2, sort_keys=True) + "\n",
-        )
+        _atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
         _atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())
     except OSError as exc:
         raise CheckpointError(f"cannot write outputs to {out_dir}: {exc}") from exc
@@ -224,6 +224,7 @@ def write_report(report: RunReport, out_dir: str) -> None:
 
 # ---- named recipes --------------------------------------------------------
 
+# Each recipe's base config; a config passed to a recipe replaces it.
 # Desk-scale settings where the guidance effect is dominated by minority-mode
 # selection rather than off-support drift: a linear schedule contracts early
 # displacements away, the guidance window covers only the basin-commitment
@@ -238,16 +239,17 @@ _CALIBRATED_SHIFT_CONFIG = ExperimentConfig(
     guidance_w=0.3,
     guidance_interval=1,
 )
+_TABLE3A_CONFIG = ExperimentConfig(
+    run_chains=4000,
+    eval_reference="pooled",
+    guidance_schedule="variance",
+    guidance_s_fraction=0.5,
+)
 
 
 def recipe_table3a_analog(out_dir: str, cfg: ExperimentConfig | None = None) -> dict:
     """Sweep the guidance scale and report the density/AvgkNN trend."""
-    base = cfg or ExperimentConfig(
-        run_chains=4000,
-        eval_reference="pooled",
-        guidance_schedule="variance",
-        guidance_s_fraction=0.5,
-    )
+    base = _TABLE3A_CONFIG if cfg is None else cfg
     sweep = [0.0, 4.0, 8.0]
     results = []
     for w in sweep:
@@ -267,16 +269,13 @@ def recipe_table3a_analog(out_dir: str, cfg: ExperimentConfig | None = None) -> 
         "avg_knn_strictly_increasing": bool(all(a < b for a, b in zip(knns, knns[1:]))),
         "runs": results,
     }
-    _atomic_write(
-        os.path.join(out_dir, "recipe-summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 
 def recipe_sg_ablation(out_dir: str, cfg: ExperimentConfig | None = None) -> dict:
     """Density shift per stop-gradient mode against the unguided baseline."""
-    base = cfg or _CALIBRATED_SHIFT_CONFIG
+    base = _CALIBRATED_SHIFT_CONFIG if cfg is None else cfg
     baseline = run_experiment(
         base.with_overrides({"guidance.w": "0.0"}), os.path.join(out_dir, "baseline")
     )
@@ -288,10 +287,7 @@ def recipe_sg_ablation(out_dir: str, cfg: ExperimentConfig | None = None) -> dic
         )
         shifts[mode] = base_mean - rep.summary()["log_density_mean"]
     summary = {"recipe": "sg-ablation", "baseline_log_density": base_mean, "shifts": shifts}
-    _atomic_write(
-        os.path.join(out_dir, "recipe-summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 
@@ -299,7 +295,7 @@ def recipe_naive_contrast(out_dir: str, cfg: ExperimentConfig | None = None) -> 
     """Off-support fraction of the proposed guidance vs. the naive
     log-density descent, with the naive scale calibrated to match the
     proposed sampler's mean density shift."""
-    base = cfg or _CALIBRATED_SHIFT_CONFIG
+    base = _CALIBRATED_SHIFT_CONFIG if cfg is None else cfg
     spec = base.gmm_spec()
     data_rng = np.random.default_rng(np.random.SeedSequence([base.run_seed, 7]))
     data = spec.sample(200_000, data_rng)
@@ -313,18 +309,18 @@ def recipe_naive_contrast(out_dir: str, cfg: ExperimentConfig | None = None) -> 
     target_shift = base_mean - proposed.summary()["log_density_mean"]
 
     # bisect the naive scale until its density shift matches the proposed one
+    # to a relative 2%; the summary says whether the last step got there
     lo, hi = 0.0, max(4.0 * base.guidance_w, 0.5)
-    naive_rep = None
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        rep = run_experiment(
+        naive_rep = run_experiment(
             base.with_overrides({"guidance.kind": "naive", "guidance.w": str(mid)})
         )
-        shift = base_mean - rep.summary()["log_density_mean"]
-        naive_rep = rep
-        if abs(shift - target_shift) <= 0.02 * max(abs(target_shift), 1e-9):
+        naive_shift = base_mean - naive_rep.summary()["log_density_mean"]
+        gap = abs(naive_shift - target_shift) / max(abs(target_shift), 1e-9)
+        if gap <= 0.02:
             break
-        if shift < target_shift:
+        if naive_shift < target_shift:
             lo = mid
         else:
             hi = mid
@@ -337,14 +333,13 @@ def recipe_naive_contrast(out_dir: str, cfg: ExperimentConfig | None = None) -> 
         "density_threshold": threshold,
         "target_shift": target_shift,
         "naive_w": naive_rep.config.guidance_w,
-        "naive_shift": base_mean - naive_rep.summary()["log_density_mean"],
+        "naive_shift": naive_shift,
+        "relative_gap": gap,
+        "converged": gap <= 0.02,
         "off_support_fraction_proposed": frac_prop,
         "off_support_fraction_naive": frac_naive,
     }
-    _atomic_write(
-        os.path.join(out_dir, "recipe-summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 
@@ -352,4 +347,9 @@ RECIPES = {
     "table3a-analog": recipe_table3a_analog,
     "sg-ablation": recipe_sg_ablation,
     "naive-contrast": recipe_naive_contrast,
+}
+RECIPE_BASES = {
+    "table3a-analog": _TABLE3A_CONFIG,
+    "sg-ablation": _CALIBRATED_SHIFT_CONFIG,
+    "naive-contrast": _CALIBRATED_SHIFT_CONFIG,
 }

@@ -4,7 +4,8 @@ The clean-sample metric is the expected reconstruction discrepancy between
 x0 and the posterior mean of its noised version. The inference-time variant
 applies the same construction to the Tweedie surrogate of a noisy latent:
 denoise x_t to x0_hat, re-noise to timestep s, denoise again, and measure
-the discrepancy between the two denoised estimates.
+the discrepancy between the two denoised estimates. Both metrics, and the
+sampler's guidance gradient, are built on round_trip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NumericDegeneracyError
 from .models import ScoreModel, eps_to_score
-from .schedule import NoiseSchedule, perturb
+from .schedule import NoiseSchedule
 
 _ALPHA_BAR_FLOOR = 1e-12
 
@@ -110,6 +111,41 @@ def _draws(eps, m, shape, rng):
     return rng.standard_normal((m,) + shape)
 
 
+def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: np.ndarray,
+               d: DistanceSpec = SQUARED_ERROR, sg_mode: str | None = None):
+    """The perturb-then-denoise round trip of x0 at timestep s: (draws, cot).
+
+    For each noise draw eps[j] (eps has shape (m, ..., D)), x0 is re-noised
+    to xs = sqrt(abar_s) x0 + sqrt(1 - abar_s) eps[j], denoised again, and
+    draws[j] = d(x0, tweedie(xs, s)). Unless sg_mode is None, cot is the mean
+    over draws of the gradient of d with respect to x0: sg_second holds the
+    denoised estimate constant, sg_first holds the first argument constant,
+    and "none" differentiates both. The model is evaluated once per draw, by
+    linearize; its pullback runs only under none and sg_first.
+    """
+    a_s = float(sched.alpha_bar(s))
+    c_s = np.sqrt(1.0 - a_s)
+    draws = np.empty(eps.shape[:-1])
+    cot = None if sg_mode is None else np.zeros_like(x0)
+    for j in range(eps.shape[0]):
+        xs = np.sqrt(a_s) * x0 + c_s * eps[j]
+        eps_s, pullback_s = model.linearize(xs, s)
+        x0_hh = tweedie_from_eps(xs, s, eps_s, sched)
+        draws[j] = d.value(x0, x0_hh)
+        if sg_mode is None:
+            continue
+        grad_a, grad_b = d.grads(x0, x0_hh)
+        if sg_mode in ("none", "sg_first"):
+            # pull grad_b back through the second Tweedie map and the re-noising
+            u = (grad_b - c_s * pullback_s(grad_b)) / np.sqrt(a_s)
+            cot = cot + np.sqrt(a_s) * u
+        if sg_mode in ("none", "sg_second"):
+            cot = cot + grad_a
+    if cot is not None:
+        cot /= eps.shape[0]
+    return draws, cot
+
+
 def minority_score(
     x0: np.ndarray,
     t,
@@ -124,12 +160,7 @@ def minority_score(
     if m < 1:
         raise ValueError("mc count must be >= 1")
     x0 = np.asarray(x0, float)
-    noise = _draws(eps, m, x0.shape, rng)
-    vals = []
-    for j in range(m):
-        xt = perturb(x0, t, noise[j], sched)
-        vals.append(d.value(x0, tweedie(xt, t, model, sched)))
-    draws = np.stack(vals)
+    draws = round_trip(x0, t, model, sched, _draws(eps, m, x0.shape, rng), d)[0]
     return MetricEval(value=draws.mean(axis=0), timestep=int(t), mc_samples=m, draws=draws)
 
 
@@ -149,6 +180,4 @@ def inference_metric(
     x0_hat = tweedie(x_t, t); x0_hat is re-noised to timestep s and denoised
     again, and d(x0_hat, second denoising) is averaged over the noise draws.
     """
-    x0_hat = tweedie(x_t, t, model, sched)
-    ev = minority_score(x0_hat, s, model, sched, d=d, m=m, rng=rng, eps=eps)
-    return MetricEval(value=ev.value, timestep=int(s), mc_samples=m, draws=ev.draws)
+    return minority_score(tweedie(x_t, t, model, sched), s, model, sched, d=d, m=m, rng=rng, eps=eps)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericDegeneracyError
 # perfbench/tracing.py patches sampler.tweedie, so the name stays importable
-from .minority import DistanceSpec, tweedie, tweedie_from_eps  # noqa: F401
+from .minority import DistanceSpec, _draws, round_trip, tweedie, tweedie_from_eps  # noqa: F401
 from .models import ScoreModel
 from .schedule import NoiseSchedule
 
@@ -60,14 +60,6 @@ class GuidanceConfig:
             raise ConfigError("mc_samples must be >= 1")
 
 
-@dataclass
-class ChainState:
-    x: np.ndarray
-    t: int
-    rng: np.random.Generator
-    trace: list = field(default_factory=list)
-
-
 def chain_rngs(seed: int, chain: int):
     """Independent (transition-noise, guidance-noise) streams for one chain."""
     rng_z = np.random.default_rng(np.random.SeedSequence([int(seed), int(chain), 0]))
@@ -77,7 +69,7 @@ def chain_rngs(seed: int, chain: int):
 
 def resolve_s(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
     """Perturbation timestep: s_fraction * T rounded to the nearest valid step."""
-    return int(min(max(round(cfg.s_fraction * sched.T), 1), sched.T))
+    return sched.step_at(cfg.s_fraction)
 
 
 def weight(t: int, cfg: GuidanceConfig, sched: NoiseSchedule) -> float:
@@ -97,66 +89,31 @@ def _normalize_linf(g: np.ndarray) -> np.ndarray:
     return g / safe
 
 
-def guidance(
-    x_t: np.ndarray,
-    t: int,
-    cfg: GuidanceConfig,
-    model: ScoreModel,
-    sched: NoiseSchedule,
-    rng: np.random.Generator | None = None,
-    eps: np.ndarray | None = None,
-    return_metric: bool = False,
-):
+def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sched: NoiseSchedule,
+             eps: np.ndarray, return_metric: bool = False):
     """Gradient of the inference-time metric w.r.t. x_t under cfg.sg_mode.
 
     sg_second holds the second denoised estimate constant (single backward
     pass), sg_first holds the first, and "none" differentiates both; the
     three satisfy guidance(none) = guidance(sg_first) + guidance(sg_second)
-    for shared noise. Supply `eps` (shape (m, ..., D) or (..., D)) to pin the
-    metric's noise draws.
+    for shared noise. `eps` (shape (m, ..., D), or (..., D) when m = 1) pins
+    the metric's noise draws. With return_metric, the metric value
+    (inference_metric of x_t with the same draws) is returned as well.
 
-    Both Tweedie maps, at (x_t, t) and (xs, s), come from model.linearize,
-    so each forward pass and its pullback share one evaluation of the
-    model; a pullback is called only for a branch that is differentiated.
+    x0_hat and the final pullback come from one model.linearize at (x_t, t);
+    the round trip from x0_hat at s supplies the metric and its cotangent.
     """
     x_t = np.asarray(x_t, float)
-    s = resolve_s(cfg, sched)
-    a_t = float(sched.alpha_bar(t))
-    a_s = float(sched.alpha_bar(s))
-    c_t, c_s = np.sqrt(1.0 - a_t), np.sqrt(1.0 - a_s)
-    m = cfg.mc_samples
-    if eps is not None:
-        eps = np.asarray(eps, float)
-        if eps.shape == x_t.shape:
-            eps = eps[None]
-    else:
-        if rng is None:
-            raise ValueError("guidance requires an rng when eps is not pinned")
-        eps = rng.standard_normal((m,) + x_t.shape)
-
+    eps = _draws(eps, cfg.mc_samples, x_t.shape, None)
     eps_t, pullback_t = model.linearize(x_t, t)
     x0_hat = tweedie_from_eps(x_t, t, eps_t, sched)
-    cot = np.zeros_like(x0_hat)
-    metric = np.zeros(x_t.shape[:-1])
-    for j in range(m):
-        xs = np.sqrt(a_s) * x0_hat + c_s * eps[j]
-        eps_s, pullback_s = model.linearize(xs, s)  # pullback_s unused under sg_second
-        x0_hh = tweedie_from_eps(xs, s, eps_s, sched)
-        metric = metric + cfg.distance.value(x0_hat, x0_hh)
-        grad_a, grad_b = cfg.distance.grads(x0_hat, x0_hh)
-        if cfg.sg_mode in ("none", "sg_first"):
-            # pull grad_b back through the second Tweedie map and the re-noising
-            u = (grad_b - c_s * pullback_s(grad_b)) / np.sqrt(a_s)
-            cot = cot + np.sqrt(a_s) * u
-        if cfg.sg_mode in ("none", "sg_second"):
-            cot = cot + grad_a
-    cot /= m
-    metric = metric / m
-    g = (cot - c_t * pullback_t(cot)) / np.sqrt(a_t)
+    draws, cot = round_trip(x0_hat, resolve_s(cfg, sched), model, sched, eps, cfg.distance, cfg.sg_mode)
+    a_t = float(sched.alpha_bar(t))
+    g = (cot - np.sqrt(1.0 - a_t) * pullback_t(cot)) / np.sqrt(a_t)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
     if return_metric:
-        return g, metric
+        return g, draws.mean(axis=0)
     return g
 
 
@@ -174,19 +131,16 @@ def naive_density_guidance(
     return g
 
 
-def ancestral_step(state: ChainState, model: ScoreModel, sched: NoiseSchedule) -> ChainState:
-    """One reverse-chain transition; the injected noise is zero at t = 1."""
-    t = state.t
+def reverse_step(x: np.ndarray, t: int, model: ScoreModel, sched: NoiseSchedule, z) -> np.ndarray:
+    """One reverse-chain transition x_t -> x_{t-1} with injected noise z.
+
+    At t = 1 the transition is its mean and z is not used.
+    """
     if t < 1:
         raise ValueError(f"cannot step below t = 1 (got t = {t})")
     beta = float(sched.beta(t))
-    mu = (state.x + beta * model.score(state.x, t)) / np.sqrt(1.0 - beta)
-    if t > 1:
-        z = state.rng.standard_normal(state.x.shape)
-        x_new = mu + np.sqrt(float(sched.rvar(t))) * z
-    else:
-        x_new = mu
-    return ChainState(x=x_new, t=t - 1, rng=state.rng, trace=state.trace)
+    mu = (x + beta * model.score(x, t)) / np.sqrt(1.0 - beta)
+    return mu if t == 1 else mu + np.sqrt(float(sched.rvar(t))) * z
 
 
 def guided_steps(T: int, n: int) -> list[int]:
@@ -228,8 +182,6 @@ def guided_sample(
             eps_tape[c] = rng_g.standard_normal((len(g_steps), cfg.mc_samples, dim))
 
     x = noise[:, 0, :].copy()
-    zi = 1
-    gi = 0
     rows = []
     for t in range(T, 0, -1):
         g_vec = None
@@ -238,7 +190,8 @@ def guided_sample(
             w_t = weight(t, cfg, sched)
             if w_t != 0.0:
                 if cfg.kind == "self":
-                    eps = np.moveaxis(eps_tape[:, gi], 1, 0)  # (m, chains, dim)
+                    # g_steps runs down from the largest multiple of n <= T
+                    eps = np.moveaxis(eps_tape[:, T // cfg.n - t // cfg.n], 1, 0)  # (m, chains, dim)
                     g_vec, metric = guidance(
                         x, t, cfg, model, sched, eps=eps, return_metric=True
                     )
@@ -247,15 +200,7 @@ def guided_sample(
                         x, t, model, sched, normalize_linf=cfg.normalize_linf
                     )
                     metric = np.full(chains, np.nan)
-            if cfg.kind == "self":
-                gi += 1
-        beta = float(sched.beta(t))
-        mu = (x + beta * model.score(x, t)) / np.sqrt(1.0 - beta)
-        if t > 1:
-            x = mu + np.sqrt(float(sched.rvar(t))) * noise[:, zi, :]
-            zi += 1
-        else:
-            x = mu
+        x = reverse_step(x, t, model, sched, noise[:, T - t + 1] if t > 1 else None)
         if g_vec is not None:
             x = x + w_t * g_vec
             if trace:

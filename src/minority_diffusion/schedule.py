@@ -57,6 +57,10 @@ class NoiseSchedule:
         self._check_t(t)
         return self.reverse_var[np.asarray(t) - 1]
 
+    def step_at(self, fraction: float) -> int:
+        """The timestep nearest fraction * T, clamped to 1..T."""
+        return int(min(max(round(fraction * self.T), 1), self.T))
+
     def fingerprint(self) -> str:
         """Hex digest identifying this schedule; stored in checkpoints."""
         h = hashlib.sha256()

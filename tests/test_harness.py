@@ -490,3 +490,41 @@ def test_cli_recipe_runs_small(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert set(summary["shifts"]) == {"none", "sg_first", "sg_second"}
     assert (tmp_path / "rec" / "recipe-summary.json").exists()
+
+
+def resolved(path) -> dict:
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def test_cli_recipe_starts_from_its_own_base_config(tmp_path, capsys):
+    # without --config the recipe's calibrated base applies, and --set wins over it
+    common = ["recipe", "--recipe", "sg-ablation", "--chains", "8", "--set", "eval.reference_size=64"]
+    assert main([*common, "--out", str(tmp_path / "a")]) == 0
+    assert main([*common, "--set", "guidance.w=0.5", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    want = {
+        "schedule.kind": "linear",
+        "guidance.schedule": "switch_off",
+        "guidance.t_mid": "40",
+        "guidance.s_fraction": "0.25",
+        "guidance.interval": "1",
+        "run.chains": "8",
+        "eval.reference_size": "64",
+    }
+    for out, w in (("a", "0.3"), ("b", "0.5")):
+        got = resolved(tmp_path / out / "none" / "resolved-config")
+        assert {k: got[k] for k in want} == want
+        assert got["guidance.w"] == w
+        assert got["guidance.sg"] == "none"
+        assert resolved(tmp_path / out / "baseline" / "resolved-config")["guidance.w"] == "0.0"
+
+
+def test_naive_contrast_reports_convergence(tmp_path, capsys):
+    cfg_path = write_small_config(tmp_path)
+    args = ["recipe", "--recipe", "naive-contrast", "--config", str(cfg_path), "--out", str(tmp_path / "rec")]
+    assert main(args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == json.loads((tmp_path / "rec" / "recipe-summary.json").read_text())
+    gap = abs(summary["naive_shift"] - summary["target_shift"]) / abs(summary["target_shift"])
+    assert summary["relative_gap"] == pytest.approx(gap, rel=1e-12)
+    assert summary["converged"] == (summary["relative_gap"] <= 0.02)

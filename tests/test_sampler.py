@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 
 from minority_diffusion.errors import ConfigError, NumericDegeneracyError
-from minority_diffusion.minority import tweedie
+from minority_diffusion.minority import inference_metric, round_trip, tweedie
 from minority_diffusion.models import CallCountingModel, ScoreModel
 from minority_diffusion.sampler import (
-    ChainState,
     GuidanceConfig,
     _normalize_linf,
-    ancestral_step,
     chain_rngs,
     guidance,
     guided_sample,
     guided_steps,
     naive_density_guidance,
     resolve_s,
+    reverse_step,
     weight,
 )
 from minority_diffusion.schedule import build_schedule
@@ -96,6 +95,36 @@ def test_guidance_returns_metric_value(ring_model20, sched20):
     assert np.all(metric >= 0.0)
 
 
+@pytest.mark.parametrize("sg", ["none", "sg_first", "sg_second"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("model_name", ["analytic", "mlp"])
+def test_guidance_metric_is_inference_metric(sg, m, model_name, ring_model20, mlp20, sched20):
+    # the trace's metric (metrics.csv) and the per-sample metric (samples.csv)
+    # are one function: the same round trip with the same draws
+    model = ring_model20 if model_name == "analytic" else mlp20
+    rng = np.random.default_rng(11)
+    x = rng.normal(scale=2.0, size=(5, 2))
+    eps = rng.normal(size=(m, 5, 2))
+    cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=m)
+    _, metric = guidance(x, 12, cfg, model, sched20, eps=eps, return_metric=True)
+    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, m=m, eps=eps).value
+    assert np.array_equal(metric, want)
+
+
+def test_round_trip_without_gradient_makes_no_backward(ring_model20, sched20):
+    counted = CallCountingModel(ring_model20)
+    eps = np.random.default_rng(12).normal(size=(3, 4, 2))
+    draws, cot = round_trip(np.zeros((4, 2)), 9, counted, sched20, eps)
+    assert draws.shape == (3, 4) and cot is None
+    assert (counted.forward_calls, counted.backward_calls) == (3, 0)
+
+
+def test_guidance_rejects_draws_that_do_not_match_mc_samples(ring_model20, sched20):
+    cfg = GuidanceConfig(w=1.0, s_fraction=0.6, mc_samples=2)
+    with pytest.raises(ValueError, match="fixed noise shape mismatch"):
+        guidance(np.zeros((4, 2)), 10, cfg, ring_model20, sched20, eps=np.zeros((3, 4, 2)))
+
+
 def test_weight_schedules(sched20):
     fixed = GuidanceConfig(w=2.0, schedule_mode="fixed")
     assert weight(3, fixed, sched20) == 2.0
@@ -145,15 +174,18 @@ def test_guidance_config_validation():
 
 
 def test_ancestral_step_terminal_is_deterministic(unit_model20, sched20):
+    # at t = 1 the transition is its mean, whatever noise is passed
     x = np.array([0.4, -0.2])
-    st1 = ChainState(x=x, t=1, rng=np.random.default_rng(0))
-    st2 = ChainState(x=x, t=1, rng=np.random.default_rng(99))
-    out1 = ancestral_step(st1, unit_model20, sched20)
-    out2 = ancestral_step(st2, unit_model20, sched20)
-    np.testing.assert_array_equal(out1.x, out2.x)
-    assert out1.t == 0
-    with pytest.raises(ValueError):
-        ancestral_step(out1, unit_model20, sched20)
+    out1 = reverse_step(x, 1, unit_model20, sched20, np.zeros(2))
+    out2 = reverse_step(x, 1, unit_model20, sched20, np.random.default_rng(99).standard_normal(2))
+    np.testing.assert_array_equal(out1, out2)
+    np.testing.assert_array_equal(out1, reverse_step(x, 1, unit_model20, sched20, None))
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_reverse_step_rejects_t_below_one(t, unit_model20, sched20):
+    with pytest.raises(ValueError, match="cannot step below t = 1"):
+        reverse_step(np.zeros(2), t, unit_model20, sched20, np.zeros(2))
 
 
 def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20, ring):
@@ -164,10 +196,11 @@ def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20
     assert rows == []
     for c in range(chains):
         rng_z, _ = chain_rngs(seed, c)
-        state = ChainState(x=rng_z.standard_normal(2), t=sched20.T, rng=rng_z)
-        while state.t >= 1:
-            state = ancestral_step(state, ring_model20, sched20)
-        np.testing.assert_array_equal(batched[c], state.x)
+        x = rng_z.standard_normal(2)
+        for t in range(sched20.T, 0, -1):
+            z = rng_z.standard_normal(2) if t > 1 else None
+            x = reverse_step(x, t, ring_model20, sched20, z)
+        np.testing.assert_array_equal(batched[c], x)
 
 
 def test_zero_weight_never_touches_guidance(ring_model20, sched20):
