@@ -187,8 +187,6 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.benchmark not in ("gmm8-ring", "gmm2-imbalanced", "inline"):
-            raise ConfigError(f"unknown benchmark {self.benchmark!r}")
         if self.model_kind not in ("analytic", "mlp"):
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.run_chains < 1:

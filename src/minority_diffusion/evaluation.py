@@ -1,5 +1,5 @@
-"""Evaluation machinery: exact densities, neighborhood metrics, rank
-correlation, and the numeric verifiers for the metric/ELBO identity.
+"""Evaluation machinery: exact densities, neighborhood metrics, and the
+numeric verifiers for the metric/ELBO identity.
 """
 
 from __future__ import annotations
@@ -132,33 +132,6 @@ def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.nda
     lrd_q = _lrd(np.maximum(kdist[q_idx], q_dist).mean(axis=1))
     with np.errstate(invalid="ignore"):
         return np.where(np.isinf(lrd_q), 1.0, ref_lrd[q_idx].mean(axis=1) / lrd_q)
-
-
-def spearman(a, b) -> float:
-    """Spearman rank correlation (average ranks for ties)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 3:
-        raise ValueError("spearman needs two equal-length sequences of length >= 3")
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    sa, sb = np.std(ra), np.std(rb)
-    if sa == 0.0 or sb == 0.0:
-        raise ValueError("correlation undefined for a constant sequence")
-    return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 @dataclass(frozen=True)

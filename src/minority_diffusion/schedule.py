@@ -8,7 +8,7 @@ is fixed to beta_t.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,9 @@ class NoiseSchedule:
     T: int
     betas: np.ndarray  # (T,), betas[t-1] is beta_t
     alpha_cum: np.ndarray  # (T,), alpha_cum[t-1] = prod_{u<=t} (1 - beta_u)
-    reverse_var: np.ndarray = field(default=None)  # fixed to betas
 
     def __post_init__(self):
-        if self.reverse_var is None:
-            object.__setattr__(self, "reverse_var", self.betas)
-        for arr in (self.betas, self.alpha_cum, self.reverse_var):
+        for arr in (self.betas, self.alpha_cum):
             arr.setflags(write=False)
 
     def _check_t(self, t) -> None:
@@ -54,8 +51,7 @@ class NoiseSchedule:
 
     def rvar(self, t):
         """Reverse-process variance at t (fixed choice beta_t)."""
-        self._check_t(t)
-        return self.reverse_var[np.asarray(t) - 1]
+        return self.beta(t)
 
     def step_at(self, fraction: float) -> int:
         """The timestep nearest fraction * T, clamped to 1..T."""

@@ -2,26 +2,23 @@
 
 Neighborhood metrics are compared against independent O(N^2) brute-force
 implementations written here, including a property test on tie-heavy
-inputs; rank correlation against scipy; the
-reconstruction/noise identity against exact closed forms for the unit
-Gaussian (via a cubature that is exact for quadratics in the noise).
+inputs; the reconstruction/noise identity against exact closed forms for
+the unit Gaussian (via a cubature that is exact for quadratics in the
+noise).
 """
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minority_diffusion.errors import NumericDegeneracyError
 from minority_diffusion.evaluation import (
-    _average_ranks,
     _knn_scan,
     avg_knn_batch,
     lof_batch,
     log_density_gmm,
-    spearman,
     verify_corollary1,
     verify_prop1,
 )
@@ -246,33 +243,6 @@ def test_neighbor_search_exact_on_ties_and_duplicates(instance):
         skip = None if self_offset is None else self_offset + i
         assert knn_b[i] == brute_avg_knn(q, refset, k, exclude_index=skip)
         assert lof_b[i] == brute_lof(q, refset, k, exclude_index=skip)
-
-
-# ---- rank correlation -----------------------------------------------------
-
-
-def test_spearman_matches_scipy():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        a = rng.normal(size=50)
-        b = 0.5 * a + rng.normal(size=50)
-        if rng.random() < 0.5:  # exercise tie handling
-            a = np.round(a)
-        want = scipy.stats.spearmanr(a, b).statistic
-        assert spearman(a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_spearman_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        spearman(np.ones(10), np.arange(10.0))
-    with pytest.raises(ValueError):
-        spearman(np.arange(4.0), np.arange(5.0))
-
-
-def test_average_ranks_match_scipy():
-    rng = np.random.default_rng(7)
-    x = np.round(rng.normal(size=40), 1)
-    np.testing.assert_allclose(_average_ranks(x), scipy.stats.rankdata(x))
 
 
 # ---- identity verifiers ---------------------------------------------------

@@ -370,6 +370,27 @@ def test_cli_verify(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg_path), "--mode", "corollary1"]) == 0
 
 
+def test_cli_out_is_replaced_whole(tmp_path, capsys, monkeypatch):
+    # --out is written to a temporary file that is renamed over the target,
+    # so a write that fails part-way cannot leave a half-written report
+    cfg_path = write_small_config(tmp_path)
+    out = tmp_path / "verify.json"
+    out.write_text("previous\n")
+    renames = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        assert out.read_text() == "previous\n"  # untouched until the rename
+        renames.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", replace)
+    assert main(["verify", "--config", str(cfg_path), "--mc", "2", "--out", str(out)]) == 0
+    assert renames == [str(out)]
+    assert json.loads(out.read_text())["mode"] == "prop1"
+    assert not (tmp_path / "verify.json.tmp").exists()
+
+
 def test_cli_train_round_trip(tmp_path, capsys):
     cfg_path = write_small_config(tmp_path)
     ckpt = tmp_path / "m.ckpt"
@@ -458,9 +479,9 @@ def test_cli_eval_malformed_samples_is_io_error(tmp_path, capsys, body):
 
 def test_cli_sample_non_finite_state_is_numeric_error(tmp_path, capsys, monkeypatch):
     class NanModel(GmmScoreModel):
-        def eps(self, x, t):
-            out = super().eps(x, t)
-            return np.full_like(out, np.nan) if t == 7 else out
+        def linearize(self, x, t):
+            out, vjp = super().linearize(x, t)
+            return (np.full_like(out, np.nan) if t == 7 else out), vjp
 
     monkeypatch.setattr(harness, "GmmScoreModel", NanModel)
     cfg_path = write_small_config(tmp_path)

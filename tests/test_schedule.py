@@ -70,7 +70,8 @@ def test_one_indexing_and_range_checks(sched20):
 
 
 def test_reverse_variance_is_beta(sched20):
-    np.testing.assert_array_equal(sched20.reverse_var, sched20.betas)
+    for t in range(1, sched20.T + 1):
+        assert sched20.rvar(t) == sched20.beta(t)
 
 
 @given(
