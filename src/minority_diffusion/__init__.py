@@ -13,9 +13,6 @@ from .errors import (
 from .gmm import GmmSpec, benchmark
 from .harness import RECIPES, RunReport, run_experiment
 from .minority import (
-    SQUARED_ERROR,
-    DistanceSpec,
-    MetricEval,
     inference_metric,
     minority_score,
     round_trip,
@@ -35,18 +32,15 @@ from .schedule import NoiseSchedule, build_schedule, perturb, respace
 __all__ = [
     "CheckpointError",
     "ConfigError",
-    "DistanceSpec",
     "ExperimentConfig",
     "GmmScoreModel",
     "GmmSpec",
     "GuidanceConfig",
-    "MetricEval",
     "MlpEpsModel",
     "NoiseSchedule",
     "NumericDegeneracyError",
     "RECIPES",
     "RunReport",
-    "SQUARED_ERROR",
     "ScoreModel",
     "TrainOptions",
     "TrainingDivergenceError",

@@ -114,7 +114,7 @@ class ExperimentConfig:
     def guidance_config(self) -> GuidanceConfig:
         if self.guidance_distance != "squared_error":
             raise ConfigError(
-                f"config files support only the squared_error distance, got {self.guidance_distance!r}"
+                f"guidance.distance supports only squared_error, got {self.guidance_distance!r}"
             )
         return GuidanceConfig(
             w=self.guidance_w,

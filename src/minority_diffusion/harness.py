@@ -13,6 +13,7 @@ Output files per run (all written atomically):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -104,10 +105,16 @@ class RunReport:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write via <path>.tmp and a rename; on failure no .tmp is left behind."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def to_json(obj) -> str:
@@ -175,7 +182,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
         sched,
         m=cfg.eval_metric_mc,
         rng=eval_rng,
-    ).value
+    )
 
     refset, offset = reference_set(cfg, samples)
     knn_vals = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)

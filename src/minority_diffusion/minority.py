@@ -10,9 +10,6 @@ sampler's guidance gradient, are built on round_trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import NumericDegeneracyError
@@ -20,68 +17,6 @@ from .models import ScoreModel, eps_to_score
 from .schedule import NoiseSchedule
 
 _ALPHA_BAR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DistanceSpec:
-    """Discrepancy measure: squared error, optionally in a fixed feature space.
-
-    For kind="feature_map", `feature` maps data vectors to feature vectors and
-    `feature_vjp(x, cotangent)` pulls a feature-space cotangent back to data
-    space; both are needed when the distance is differentiated.
-    """
-
-    kind: str = "squared_error"
-    feature: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    feature_vjp: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("squared_error", "feature_map"):
-            raise ValueError(f"unknown distance kind {self.kind!r}")
-        if self.kind == "feature_map" and self.feature is None:
-            raise ValueError("feature_map distance requires a feature callable")
-
-    def value(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "feature_map":
-            a, b = self.feature(a), self.feature(b)
-        diff = a - b
-        return np.sum(diff * diff, axis=-1)
-
-    def grads(self, a: np.ndarray, b: np.ndarray):
-        """(dd/da, dd/db) of the scalar distance."""
-        if self.kind == "feature_map":
-            r = self.feature(a) - self.feature(b)
-            return self.feature_vjp(a, 2.0 * r), self.feature_vjp(b, -2.0 * r)
-        r = a - b
-        return 2.0 * r, -2.0 * r
-
-
-SQUARED_ERROR = DistanceSpec()
-
-
-def linear_feature_distance(matrix: np.ndarray) -> DistanceSpec:
-    """Squared error after a fixed linear feature map x -> x @ matrix."""
-    matrix = np.asarray(matrix, float)
-    return DistanceSpec(
-        kind="feature_map",
-        feature=lambda x: x @ matrix,
-        feature_vjp=lambda x, cot: cot @ matrix.T,
-    )
-
-
-@dataclass(frozen=True)
-class MetricEval:
-    """A Monte-Carlo metric value plus its per-draw samples."""
-
-    value: np.ndarray  # scalar or (batch,)
-    timestep: int
-    mc_samples: int
-    draws: np.ndarray  # (mc_samples,) or (mc_samples, batch)
-
-    def std_error(self):
-        if self.mc_samples < 2:
-            return np.full_like(np.asarray(self.value, float), np.nan)
-        return np.std(self.draws, axis=0, ddof=1) / np.sqrt(self.mc_samples)
 
 
 def tweedie(x_t: np.ndarray, t, model: ScoreModel, sched: NoiseSchedule) -> np.ndarray:
@@ -112,15 +47,16 @@ def _draws(eps, m, shape, rng):
 
 
 def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: np.ndarray,
-               d: DistanceSpec = SQUARED_ERROR, sg_mode: str | None = None):
+               sg_mode: str | None = None):
     """The perturb-then-denoise round trip of x0 at timestep s: (draws, cot).
 
     For each noise draw eps[j] (eps has shape (m, ..., D)), x0 is re-noised
     to xs = sqrt(abar_s) x0 + sqrt(1 - abar_s) eps[j], denoised again, and
-    draws[j] = d(x0, tweedie(xs, s)). Unless sg_mode is None, cot is the mean
-    over draws of the gradient of d with respect to x0: sg_second holds the
-    denoised estimate constant, sg_first holds the first argument constant,
-    and "none" differentiates both. The model is evaluated once per draw, by
+    draws[j] = ||x0 - tweedie(xs, s)||^2, summed (not averaged) over D.
+    Unless sg_mode is None, cot is the mean over draws of the gradient of
+    that squared error with respect to x0: sg_second holds the denoised
+    estimate constant, sg_first holds the first argument constant, and
+    "none" differentiates both. The model is evaluated once per draw, by
     linearize; its pullback runs only under none and sg_first.
     """
     a_s = float(sched.alpha_bar(s))
@@ -130,17 +66,18 @@ def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: 
     for j in range(eps.shape[0]):
         xs = np.sqrt(a_s) * x0 + c_s * eps[j]
         eps_s, pullback_s = model.linearize(xs, s)
-        x0_hh = tweedie_from_eps(xs, s, eps_s, sched)
-        draws[j] = d.value(x0, x0_hh)
+        r = x0 - tweedie_from_eps(xs, s, eps_s, sched)
+        draws[j] = np.sum(r * r, axis=-1)
         if sg_mode is None:
             continue
-        grad_a, grad_b = d.grads(x0, x0_hh)
         if sg_mode in ("none", "sg_first"):
-            # pull grad_b back through the second Tweedie map and the re-noising
+            # pull -2r, the gradient in the denoised estimate, back through
+            # the second Tweedie map and the re-noising
+            grad_b = -2.0 * r
             u = (grad_b - c_s * pullback_s(grad_b)) / np.sqrt(a_s)
             cot = cot + np.sqrt(a_s) * u
         if sg_mode in ("none", "sg_second"):
-            cot = cot + grad_a
+            cot = cot + 2.0 * r
     if cot is not None:
         cot /= eps.shape[0]
     return draws, cot
@@ -151,17 +88,16 @@ def minority_score(
     t,
     model: ScoreModel,
     sched: NoiseSchedule,
-    d: DistanceSpec = SQUARED_ERROR,
     m: int = 1,
     rng: np.random.Generator | None = None,
     eps: np.ndarray | None = None,
-) -> MetricEval:
-    """Monte-Carlo estimate of E_eps d(x0, tweedie(perturb(x0, t, eps), t))."""
+) -> np.ndarray:
+    """Monte-Carlo estimate of E_eps ||x0 - tweedie(perturb(x0, t, eps), t)||^2:
+    a scalar, or one value per row of a batch."""
     if m < 1:
         raise ValueError("mc count must be >= 1")
     x0 = np.asarray(x0, float)
-    draws = round_trip(x0, t, model, sched, _draws(eps, m, x0.shape, rng), d)[0]
-    return MetricEval(value=draws.mean(axis=0), timestep=int(t), mc_samples=m, draws=draws)
+    return round_trip(x0, t, model, sched, _draws(eps, m, x0.shape, rng))[0].mean(axis=0)
 
 
 def inference_metric(
@@ -170,14 +106,13 @@ def inference_metric(
     s,
     model: ScoreModel,
     sched: NoiseSchedule,
-    d: DistanceSpec = SQUARED_ERROR,
     m: int = 1,
     rng: np.random.Generator | None = None,
     eps: np.ndarray | None = None,
-) -> MetricEval:
+) -> np.ndarray:
     """Uniqueness metric of a noisy latent: minority score of its Tweedie surrogate.
 
     x0_hat = tweedie(x_t, t); x0_hat is re-noised to timestep s and denoised
-    again, and d(x0_hat, second denoising) is averaged over the noise draws.
+    again, and the squared error between the two is averaged over the draws.
     """
-    return minority_score(tweedie(x_t, t, model, sched), s, model, sched, d=d, m=m, rng=rng, eps=eps)
+    return minority_score(tweedie(x_t, t, model, sched), s, model, sched, m=m, rng=rng, eps=eps)

@@ -74,18 +74,15 @@ class GmmScoreModel(ScoreModel):
 
 
 class CallCountingModel(ScoreModel):
-    """Wrapper counting forward (linearize, and so eps and score) and backward
-    (input_vjp, the pullback returned by linearize) invocations."""
+    """Wrapper counting forward (linearize, and so eps, score and input_vjp)
+    and backward (calls of the pullback linearize returns) invocations, so an
+    input_vjp counts one forward and one backward."""
 
     def __init__(self, inner: ScoreModel):
         super().__init__(inner.sched)
         self.inner = inner
         self.forward_calls = 0
         self.backward_calls = 0
-
-    def input_vjp(self, x, t, cotangent):
-        self.backward_calls += 1
-        return self.inner.input_vjp(x, t, cotangent)
 
     def linearize(self, x, t):
         self.forward_calls += 1
@@ -96,10 +93,6 @@ class CallCountingModel(ScoreModel):
             return vjp(cot)
 
         return eps, counted_vjp
-
-    def reset(self):
-        self.forward_calls = 0
-        self.backward_calls = 0
 
 
 def sinusoidal_embedding(t, emb_dim: int) -> np.ndarray:

@@ -13,7 +13,7 @@ w = 0 sampler is bit-identical to plain ancestral sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericDegeneracyError
 # perfbench/tracing.py patches sampler.tweedie, so the name stays importable
-from .minority import DistanceSpec, _draws, round_trip, tweedie, tweedie_from_eps  # noqa: F401
+from .minority import _draws, round_trip, tweedie, tweedie_from_eps  # noqa: F401
 from .models import ScoreModel
 from .schedule import NoiseSchedule
 
@@ -38,7 +38,6 @@ class GuidanceConfig:
     n: int = 5
     s_fraction: float = 0.8
     sg_mode: str = "sg_second"
-    distance: DistanceSpec = field(default_factory=DistanceSpec)
     normalize_linf: bool = True
     mc_samples: int = 1
     kind: str = "self"
@@ -90,15 +89,16 @@ def _normalize_linf(g: np.ndarray) -> np.ndarray:
 
 
 def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sched: NoiseSchedule,
-             eps: np.ndarray, return_metric: bool = False):
-    """Gradient of the inference-time metric w.r.t. x_t under cfg.sg_mode.
+             eps: np.ndarray):
+    """(g, metric): gradient of the inference-time metric w.r.t. x_t under
+    cfg.sg_mode, and the metric value.
 
     sg_second holds the second denoised estimate constant (single backward
     pass), sg_first holds the first, and "none" differentiates both; the
     three satisfy guidance(none) = guidance(sg_first) + guidance(sg_second)
     for shared noise. `eps` (shape (m, ..., D), or (..., D) when m = 1) pins
-    the metric's noise draws. With return_metric, the metric value
-    (inference_metric of x_t with the same draws) is returned as well.
+    the metric's noise draws; the metric is inference_metric of x_t with
+    the same draws.
 
     x0_hat and the final pullback come from one model.linearize at (x_t, t);
     the round trip from x0_hat at s supplies the metric and its cotangent.
@@ -107,14 +107,12 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sc
     eps = _draws(eps, cfg.mc_samples, x_t.shape, None)
     eps_t, pullback_t = model.linearize(x_t, t)
     x0_hat = tweedie_from_eps(x_t, t, eps_t, sched)
-    draws, cot = round_trip(x0_hat, resolve_s(cfg, sched), model, sched, eps, cfg.distance, cfg.sg_mode)
+    draws, cot = round_trip(x0_hat, resolve_s(cfg, sched), model, sched, eps, cfg.sg_mode)
     a_t = float(sched.alpha_bar(t))
     g = (cot - np.sqrt(1.0 - a_t) * pullback_t(cot)) / np.sqrt(a_t)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
-    if return_metric:
-        return g, draws.mean(axis=0)
-    return g
+    return g, draws.mean(axis=0)
 
 
 def naive_density_guidance(
@@ -192,9 +190,7 @@ def guided_sample(
                 if cfg.kind == "self":
                     # g_steps runs down from the largest multiple of n <= T
                     eps = np.moveaxis(eps_tape[:, T // cfg.n - t // cfg.n], 1, 0)  # (m, chains, dim)
-                    g_vec, metric = guidance(
-                        x, t, cfg, model, sched, eps=eps, return_metric=True
-                    )
+                    g_vec, metric = guidance(x, t, cfg, model, sched, eps=eps)
                 else:
                     g_vec = naive_density_guidance(
                         x, t, model, sched, normalize_linf=cfg.normalize_linf

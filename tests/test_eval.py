@@ -189,8 +189,10 @@ def test_knn_chunking_is_transparent():
     a = avg_knn_batch(refset, refset, 5, self_offset=0)
     for i in (0, 511, 512, 2999):
         assert a[i] == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
-    # every point duplicated: all 1400 rows tie and take the full-scan path,
-    # which runs 512 rows at a time
+    # every point duplicated: every row ties at the first width and resolves
+    # on the widened tree (widths 14 and 28), short of the full scan; rows
+    # that reach the full scan, in chunks, are checked by
+    # test_tied_rows_widen_on_the_tree_then_scan_in_full
     twice = np.tile(np.round(rng.normal(size=(700, 2)), 1), (2, 1))
     b = avg_knn_batch(twice, twice, 5, self_offset=0)
     for i in (0, 511, 512, 1023, 1024, 1399):
@@ -289,7 +291,7 @@ def test_prop1_unit_gaussian_closed_form(unit_model20, sched20):
 
         def q(e):
             ev = minority_score(x0, t, unit_model20, sched20, eps=np.asarray(e, float)[None])
-            return wbar * float(ev.value)
+            return wbar * float(ev)
 
         expect = q(np.zeros(d))
         for i in range(d):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minority_diffusion
 from minority_diffusion import harness
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
@@ -58,6 +59,24 @@ def test_config_rejects_unknown_key_and_bad_values():
         ExperimentConfig().with_overrides({"benchmark": "imagenet"})
     with pytest.raises(ConfigError):
         ExperimentConfig().with_overrides({"guidance.sg": "sg_third"})
+
+
+def test_config_guidance_distance_key_still_parses(tmp_path, capsys):
+    # resolved-config files carry guidance.distance; squared_error is its one value
+    text = ExperimentConfig().to_text()
+    assert "guidance.distance = squared_error" in text.splitlines()
+    assert ExperimentConfig.from_text(text) == ExperimentConfig()
+    cfg_path = write_small_config(tmp_path)
+    args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=feature_map"]
+    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_package_exports_resolve():
+    namespace = {}
+    exec("from minority_diffusion import *", namespace)
+    for name in minority_diffusion.__all__:
+        assert namespace[name] is getattr(minority_diffusion, name)
 
 
 def test_config_inline_gmm():
@@ -389,6 +408,18 @@ def test_cli_out_is_replaced_whole(tmp_path, capsys, monkeypatch):
     assert renames == [str(out)]
     assert json.loads(out.read_text())["mode"] == "prop1"
     assert not (tmp_path / "verify.json.tmp").exists()
+
+
+def test_cli_failed_write_leaves_no_tmp(tmp_path, capsys):
+    # --out names an existing directory: the rename fails, and its
+    # temporary file goes with it
+    cfg_path = write_small_config(tmp_path)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert main(["verify", "--config", str(cfg_path), "--mc", "2", "--out", str(out)]) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tmp"))
+    assert out.is_dir() and not list(out.iterdir())
 
 
 def test_cli_train_round_trip(tmp_path, capsys):

@@ -172,11 +172,9 @@ def test_call_counting_wrapper(ring_model20):
     x = np.zeros((3, 2))
     counted.eps(x, 5)
     counted.score(x, 5)  # score goes through eps
-    counted.input_vjp(x, 5, x)
-    assert counted.forward_calls == 2
+    counted.input_vjp(x, 5, x)  # the forward pass linearize runs, then its pullback
+    assert counted.forward_calls == 3
     assert counted.backward_calls == 1
-    counted.reset()
-    assert counted.forward_calls == 0 and counted.backward_calls == 0
 
 
 @pytest.mark.parametrize("model_name", ["analytic", "mlp"])

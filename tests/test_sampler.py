@@ -41,11 +41,11 @@ def sg_objective(x, t, cfg, model, sched, eps, center):
         xs = np.sqrt(a_s) * x0 + c_s * e
         x0hh = tweedie(xs, s, model, sched)
         if cfg.sg_mode == "sg_second":
-            total += float(cfg.distance.value(x0, x0hh_c))
+            total += float(np.sum((x0 - x0hh_c) ** 2))
         elif cfg.sg_mode == "sg_first":
-            total += float(cfg.distance.value(x0_c, x0hh))
+            total += float(np.sum((x0_c - x0hh) ** 2))
         else:
-            total += float(cfg.distance.value(x0, x0hh))
+            total += float(np.sum((x0 - x0hh) ** 2))
     return total / len(eps)
 
 
@@ -59,7 +59,7 @@ def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20
     for t in (5, 14):
         x = rng.normal(scale=2.0, size=2)
         eps = rng.normal(size=(2, 2))
-        g = guidance(x, t, cfg, model, sched20, eps=eps)
+        g = guidance(x, t, cfg, model, sched20, eps=eps)[0]
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
@@ -78,7 +78,7 @@ def test_guidance_decomposes_over_stop_gradients(ring_model20, mlp20, sched20):
         parts = {}
         for sg in ("none", "sg_first", "sg_second"):
             cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, normalize_linf=False)
-            parts[sg] = guidance(x, 10, cfg, model, sched20, eps=eps)
+            parts[sg] = guidance(x, 10, cfg, model, sched20, eps=eps)[0]
         np.testing.assert_allclose(
             parts["none"], parts["sg_first"] + parts["sg_second"], atol=1e-9
         )
@@ -88,9 +88,7 @@ def test_guidance_returns_metric_value(ring_model20, sched20):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 2))
     cfg = GuidanceConfig(w=1.0, s_fraction=0.6)
-    _, metric = guidance(
-        x, 10, cfg, ring_model20, sched20, eps=rng.normal(size=(1, 3, 2)), return_metric=True
-    )
+    _, metric = guidance(x, 10, cfg, ring_model20, sched20, eps=rng.normal(size=(1, 3, 2)))
     assert metric.shape == (3,)
     assert np.all(metric >= 0.0)
 
@@ -106,8 +104,8 @@ def test_guidance_metric_is_inference_metric(sg, m, model_name, ring_model20, ml
     x = rng.normal(scale=2.0, size=(5, 2))
     eps = rng.normal(size=(m, 5, 2))
     cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=m)
-    _, metric = guidance(x, 12, cfg, model, sched20, eps=eps, return_metric=True)
-    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, m=m, eps=eps).value
+    _, metric = guidance(x, 12, cfg, model, sched20, eps=eps)
+    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, m=m, eps=eps)
     assert np.array_equal(metric, want)
 
 
