@@ -3,6 +3,12 @@
 Under the forward kernel, a mixture component N(mu, s2 I) becomes
 N(sqrt(abar_t) mu, (abar_t s2 + 1 - abar_t) I), so the perturbed density,
 its score and its Hessian stay in closed form.
+
+The kernels contract the small K and D axes with `np.einsum` over an
+explicit difference x - mu_k (no ||x||^2 - 2 x.mu + ||mu||^2 expansion).
+They do not use `matmul` on the batch axis: BLAS may round a row
+differently depending on how many rows come with it, and a chain's result
+must not depend on the batch it is sampled in.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import logsumexp
 
 from .errors import ConfigError
 from .schedule import NoiseSchedule
@@ -61,7 +67,7 @@ def perturbed_params(spec: GmmSpec, t, sched: NoiseSchedule):
 def _component_logpdfs(x, means, variances):
     x = np.asarray(x, float)
     diff = x[..., None, :] - means  # (..., K, D)
-    sq = np.sum(diff * diff, axis=-1)
+    sq = np.einsum("...kd,...kd->...k", diff, diff)
     d = means.shape[-1]
     return -0.5 * sq / variances - 0.5 * d * np.log(2.0 * np.pi * variances), diff
 
@@ -83,16 +89,21 @@ def score_and_hvp(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
     """
     means, variances = perturbed_params(spec, t, sched)
     logn, diff = _component_logpdfs(x, means, variances)
-    resp = softmax(np.log(spec.weights) + logn, axis=-1)
-    g = -diff / variances[..., :, None]  # (..., K, D) per-component score
-    s = np.sum(resp[..., None] * g, axis=-2)
+    # softmax over K, in scipy.special.softmax's operation order
+    a = np.log(spec.weights) + logn
+    e = np.exp(a - np.max(a, axis=-1, keepdims=True))
+    resp = e / np.sum(e, axis=-1, keepdims=True)
+    # (..., K, D) per-component score -diff / v_k, in diff's buffer: a fresh
+    # array this size can cost more in page faults than the arithmetic
+    g = np.negative(np.divide(diff, variances[..., :, None], out=diff), out=diff)
+    s = np.einsum("...k,...kd->...d", resp, g)
 
     def hvp(u):
         u = np.asarray(u, float)
-        gu = np.sum(g * u[..., None, :], axis=-1)  # (..., K)
-        term = np.sum(resp[..., None] * (g * gu[..., None]), axis=-2)
-        term -= np.sum(resp / variances, axis=-1)[..., None] * u
-        term -= s * np.sum(s * u, axis=-1)[..., None]
+        gu = np.einsum("...kd,...d->...k", g, u)
+        term = np.einsum("...k,...kd->...d", resp * gu, g)
+        term -= np.einsum("...k,...k->...", resp, 1.0 / variances)[..., None] * u
+        term -= s * np.einsum("...d,...d->...", s, u)[..., None]
         return term
 
     return s, hvp

@@ -35,8 +35,12 @@ class NoiseSchedule:
             arr.setflags(write=False)
 
     def _check_t(self, t) -> None:
-        t = np.asarray(t)
-        if np.any(t < 1) or np.any(t > self.T):
+        if isinstance(t, (int, np.integer)):  # the sampler's per-step calls
+            ok = 1 <= t <= self.T
+        else:
+            t = np.asarray(t)
+            ok = not (np.any(t < 1) or np.any(t > self.T))
+        if not ok:
             raise ValueError(f"timestep {t} out of range 1..{self.T}")
 
     def beta(self, t):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minority_diffusion import evaluation
 from minority_diffusion.errors import NumericDegeneracyError
 from minority_diffusion.evaluation import (
     _knn_scan,
@@ -182,13 +183,32 @@ def test_batch_self_exclusion_pooled_mode():
         )
 
 
-def test_knn_chunking_is_transparent():
+def test_knn_chunking_is_transparent(monkeypatch):
     rng = np.random.default_rng(5)
-    # large N: the tree's candidates, rows at and past the 512-row chunk size
+    # large N on the tree's candidates; at the default chunk all 3000 rows
+    # fit one block
     refset = rng.normal(size=(3000, 2))
     a = avg_knn_batch(refset, refset, 5, self_offset=0)
     for i in (0, 511, 512, 2999):
         assert a[i] == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
+    # chunk=1 caps a block at 3000 // 7 = 428 rows at the first width, so
+    # the scan crosses real block boundaries, and must not notice them
+    blocks, rank = [], evaluation._rank
+
+    def counting_rank(queries, ref, cand, rows, self_offset):
+        blocks.append(rows.size)
+        return rank(queries, ref, cand, rows, self_offset)
+
+    idx, dist = _knn_scan(refset, refset, 5, self_offset=0)
+    monkeypatch.setattr(evaluation, "_rank", counting_rank)
+    small_idx, small_dist = _knn_scan(refset, refset, 5, self_offset=0, chunk=1)
+    monkeypatch.undo()
+    assert blocks[:8] == [428] * 7 + [4]
+    np.testing.assert_array_equal(small_idx, idx)
+    np.testing.assert_array_equal(small_dist, dist)
+    np.testing.assert_array_equal(small_dist.mean(axis=1), a)
+    for i in (427, 428, 855, 856, 2567, 2568):
+        assert small_dist[i].mean() == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
     # every point duplicated: every row ties at the first width and resolves
     # on the widened tree (widths 14 and 28), short of the full scan; rows
     # that reach the full scan, in chunks, are checked by

@@ -16,6 +16,7 @@ from minority_diffusion.gmm import (
     log_density,
     perturbed_params,
     score,
+    score_and_hvp,
 )
 
 
@@ -35,6 +36,18 @@ def spec3():
         weights=np.array([0.5, 0.3, 0.2]),
         means=np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.0]]),
         variances=np.array([1.0, 0.5, 2.0]),
+    )
+
+
+@pytest.fixture(scope="module")
+def spec16():
+    # 16-D, 8 components with 8:1 alternating weights and unequal variances
+    rng = np.random.default_rng(16)
+    raw = np.tile([8.0, 1.0], 4)
+    return GmmSpec(
+        weights=raw / raw.sum(),
+        means=3.0 * rng.standard_normal((8, 16)),
+        variances=rng.uniform(0.25, 1.0, size=8),
     )
 
 
@@ -76,6 +89,48 @@ def test_hessian_vjp_matches_finite_differences(spec3):
         hu = hessian_vjp(x, u, spec3)
         fd = (score(x + h * u, spec3) - score(x - h * u, spec3)) / (2.0 * h)
         np.testing.assert_allclose(hu, fd, rtol=1e-4, atol=1e-7)
+
+
+def test_derivatives_match_finite_differences_16d(spec16, sched20):
+    # the same oracles at D = 16, K = 8 and a perturbed timestep, where every
+    # contraction runs over more than two coordinates
+    rng = np.random.default_rng(8)
+    t, h = 7, 1e-6
+    ab = float(sched20.alpha_bar(t))
+    xs = np.sqrt(ab) * spec16.sample(10, rng) + np.sqrt(1.0 - ab) * rng.standard_normal((10, 16))
+    for x in xs:
+        g = score(x, spec16, t, sched20)
+        for i in range(16):
+            e = np.zeros(16)
+            e[i] = h
+            fd = (log_density(x + e, spec16, t, sched20) - log_density(x - e, spec16, t, sched20)) / (
+                2.0 * h
+            )
+            assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        u = rng.normal(size=16)
+        hu = hessian_vjp(x, u, spec16, t, sched20)
+        fd = (score(x + h * u, spec16, t, sched20) - score(x - h * u, spec16, t, sched20)) / (2.0 * h)
+        np.testing.assert_allclose(hu, fd, rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("which", ["gmm8-ring", "16d"])
+def test_row_matches_its_row_in_a_batch_bitwise(which, spec16, sched20):
+    # a chain's score and Hessian product must not depend on the batch it
+    # is evaluated in; this is what keeps sampling exact per (seed, chain)
+    spec = benchmark("gmm8-ring") if which == "gmm8-ring" else spec16
+    rng = np.random.default_rng(9)
+    xs = rng.normal(scale=3.0, size=(37, spec.dim))
+    us = rng.normal(size=(37, spec.dim))
+    for t in (None, 3, 20):
+        s, hvp = score_and_hvp(xs, spec, t, sched20)
+        hu = hvp(us)
+        for i in (0, 1, 18, 36):
+            s_i, hvp_i = score_and_hvp(xs[i], spec, t, sched20)
+            np.testing.assert_array_equal(s_i, s[i])
+            np.testing.assert_array_equal(hvp_i(us[i]), hu[i])
+        s_head, hvp_head = score_and_hvp(xs[:5], spec, t, sched20)
+        np.testing.assert_array_equal(s_head, s[:5])
+        np.testing.assert_array_equal(hvp_head(us[:5]), hu[:5])
 
 
 def test_perturbed_density_is_mixture_of_pushed_components(spec3, sched20):

@@ -67,6 +67,18 @@ def test_one_indexing_and_range_checks(sched20):
     for bad in (0, 21, -3):
         with pytest.raises(ValueError):
             sched20.alpha_bar(bad)
+    # numpy integer scalars take the same scalar check as Python ints
+    for bad in (np.int64(0), np.int64(21), np.int32(-3)):
+        with pytest.raises(ValueError):
+            sched20.alpha_bar(bad)
+        with pytest.raises(ValueError):
+            sched20.beta(bad)
+    assert sched20.alpha_bar(np.int64(1)) == sched20.alpha_bar(1) == sched20.alpha_cum[0]
+    assert sched20.beta(np.int64(20)) == sched20.beta(20) == sched20.betas[19]
+    # one bad entry rejects the whole array
+    for bad in ([1, 5, 21], np.array([0, 3]), np.array([[2], [21]])):
+        with pytest.raises(ValueError):
+            sched20.alpha_bar(bad)
 
 
 def test_reverse_variance_is_beta(sched20):
