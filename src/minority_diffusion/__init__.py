@@ -21,6 +21,7 @@ from .minority import (
 from .models import GmmScoreModel, MlpEpsModel, ScoreModel, TrainOptions, train_dsm
 from .sampler import (
     GuidanceConfig,
+    GuidanceTrace,
     guidance,
     guided_sample,
     naive_density_guidance,
@@ -36,6 +37,7 @@ __all__ = [
     "GmmScoreModel",
     "GmmSpec",
     "GuidanceConfig",
+    "GuidanceTrace",
     "MlpEpsModel",
     "NoiseSchedule",
     "NumericDegeneracyError",

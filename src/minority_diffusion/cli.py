@@ -118,12 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    opts = TrainOptions(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
+    if args.train_size < 1:
+        raise ConfigError("--train-size must be >= 1")
     spec = cfg.gmm_spec()
     sched = cfg.noise_schedule()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 11]))
     data = spec.sample(args.train_size, rng)
     model = MlpEpsModel(sched, dim=spec.dim, seed=cfg.run_seed)
-    opts = TrainOptions(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
     history = train_dsm(model, data, sched, opts, rng)
     save_checkpoint(model, args.out)
     print(f"trained {args.steps} steps, final loss {history[-1]:.6f}, saved {args.out}")

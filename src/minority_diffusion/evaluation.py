@@ -10,7 +10,7 @@ import numpy as np
 
 from . import gmm
 from .config import ExperimentConfig
-from .errors import NumericDegeneracyError
+from .errors import ConfigError, NumericDegeneracyError
 from .gmm import GmmSpec
 from .minority import tweedie
 from .models import ScoreModel
@@ -179,6 +179,8 @@ def verify_prop1(
     Both sides share the same noise draws per (t, draw), so the equality is
     pointwise, not just in expectation. Summed over the full timestep grid.
     """
+    if m < 1:
+        raise ConfigError("mc samples must be >= 1")
     x0 = np.asarray(x0, float)
     if rng is None:
         rng = np.random.default_rng(0)

@@ -5,7 +5,9 @@ Output files per run (all written atomically):
   samples.csv       one row per chain: final coordinates, exact clean
                     log-density, uniqueness metric at the designated timestep,
                     AvgkNN, LOF
-  metrics.csv       per-guided-step trace rows (when run.trace = true)
+  metrics.csv       the guidance trace: one row per guided step and chain,
+                    ordered by step (descending t), then by chain; only the
+                    header when run.trace = false
   summary.json      aggregate statistics plus config fingerprint and seed
   resolved-config   the fully resolved flat config; re-running from it
                     reproduces every numeric column byte-for-byte
@@ -27,7 +29,7 @@ from .errors import CheckpointError, ConfigError
 from .evaluation import avg_knn_batch, lof_batch, log_density_gmm, reference_set
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel
-from .sampler import guided_sample, guided_steps, resolve_s, weight
+from .sampler import GuidanceTrace, guided_sample, guided_steps, resolve_s, weight
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -74,7 +76,7 @@ class RunReport:
     metric: np.ndarray
     avg_knn: np.ndarray
     lof: np.ndarray
-    trace_rows: list
+    trace_rows: GuidanceTrace  # len() is the metrics.csv row count
     forward_calls: int
     backward_calls: int
     wall_clock: float
@@ -104,12 +106,13 @@ class RunReport:
         }
 
 
-def _atomic_write(path: str, data: str) -> None:
-    """Write via <path>.tmp and a rename; on failure no .tmp is left behind."""
+def _atomic_write(path: str, data) -> None:
+    """Write `data`, a str or an iterable of str chunks, via <path>.tmp and a
+    rename; on failure no .tmp is left behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -206,6 +209,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     return report
 
 
+def _trace_chunks(trace: GuidanceTrace):
+    """metrics.csv one guided step at a time, so only one step's text is held."""
+    yield TRACE_HEADER + "\n"
+    chains = range(trace.chains)
+    for t, w_t, *columns in trace.steps:
+        row = f"%d,{t},{w_t!r},%r,%r,%r\n"
+        yield "".join(map(row.__mod__, zip(chains, *(col.tolist() for col in columns))))
+
+
 def write_report(report: RunReport, out_dir: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -218,10 +230,7 @@ def write_report(report: RunReport, out_dir: str) -> None:
             lines.append(f"{c},{','.join(map(repr, coords))},{ld!r},{mval!r},{knn!r},{lof!r}")
         _atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
 
-        tlines = [TRACE_HEADER]
-        for chain, t, w_t, l2, linf, mval in report.trace_rows:
-            tlines.append(f"{chain},{t},{w_t!r},{l2!r},{linf!r},{mval!r}")
-        _atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(tlines) + "\n")
+        _atomic_write(os.path.join(out_dir, "metrics.csv"), _trace_chunks(report.trace_rows))
 
         _atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
         _atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm
-from .errors import TrainingDivergenceError
+from .errors import ConfigError, TrainingDivergenceError
 from .gmm import GmmSpec
 from .schedule import NoiseSchedule
 
@@ -112,6 +112,14 @@ class TrainOptions:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError("training steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be >= 1")
+        if not self.lr > 0.0:
+            raise ConfigError("learning rate must be > 0")
 
 
 def _mlp_layer_sizes(dim: int, hidden, emb_dim: int) -> list[int]:

@@ -14,7 +14,6 @@ w = 0 sampler is bit-identical to plain ancestral sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -146,6 +145,21 @@ def guided_steps(T: int, n: int) -> list[int]:
     return [t for t in range(T, 0, -1) if t % n == 0]
 
 
+class GuidanceTrace:
+    """The guidance trace as columns. `steps` holds one (t, w_t, l2, linf,
+    metric) entry per guided step, in sampling order; l2 and linf are the
+    norms of each chain's guidance vector and metric its inference metric
+    (NaN under naive guidance), float64 arrays with one value per chain.
+    len() counts chain rows, one per line of metrics.csv."""
+
+    def __init__(self, chains: int):
+        self.chains = chains
+        self.steps = []
+
+    def __len__(self) -> int:
+        return self.chains * len(self.steps)
+
+
 def guided_sample(
     model: ScoreModel,
     sched: NoiseSchedule,
@@ -155,14 +169,15 @@ def guided_sample(
     seed: int,
     trace: bool = False,
 ):
-    """Run `chains` independent guided reverse chains; returns (samples, trace rows).
+    """Run `chains` independent guided reverse chains; returns (samples, GuidanceTrace).
 
     All chains are advanced together (the per-chain noise tapes are drawn
     up front from per-chain streams, so the batched loop matches chain-by-chain
     execution exactly). Guidance is evaluated at the pre-transition latent
     whenever t % n == 0 and the schedule weight is nonzero; with w = 0 the
     guidance machinery is never touched. A chain state that turns
-    non-finite raises NumericDegeneracyError naming the timestep.
+    non-finite raises NumericDegeneracyError naming the timestep. The trace
+    stays empty unless `trace` is set.
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
@@ -180,7 +195,7 @@ def guided_sample(
             eps_tape[c] = rng_g.standard_normal((len(g_steps), cfg.mc_samples, dim))
 
     x = noise[:, 0, :].copy()
-    rows = []
+    recorded = GuidanceTrace(chains)
     for t in range(T, 0, -1):
         g_vec = None
         w_t = 0.0
@@ -201,10 +216,7 @@ def guided_sample(
             x = x + w_t * g_vec
             if trace:
                 l2 = np.linalg.norm(g_vec, axis=-1)
-                linf = np.max(np.abs(g_vec), axis=-1)
-                rows.extend(
-                    zip(range(chains), repeat(t), repeat(float(w_t)), l2.tolist(), linf.tolist(), metric.tolist())
-                )
+                recorded.steps.append((t, float(w_t), l2, np.max(np.abs(g_vec), axis=-1), metric))
         if not np.isfinite(x).all():
             raise NumericDegeneracyError(f"non-finite chain state at t = {t}")
-    return x, rows
+    return x, recorded

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from minority_diffusion.config import ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
+from minority_diffusion.sampler import GuidanceTrace, guided_steps, weight
 from minority_diffusion.schedule import build_schedule
 
 SMALL = {
@@ -267,6 +270,71 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert again == cfg
 
 
+def one_string_metrics_csv(trace):
+    """metrics.csv as the tuple-per-row trace and its one-string writer built
+    it: the byte-for-byte oracle of the streamed writer."""
+    rows = []
+    for t, w_t, l2, linf, metric in trace.steps:
+        rows.extend(
+            zip(range(trace.chains), repeat(t), repeat(float(w_t)), l2.tolist(), linf.tolist(), metric.tolist())
+        )
+    tlines = [harness.TRACE_HEADER]
+    for chain, t, w_t, l2, linf, mval in rows:
+        tlines.append(f"{chain},{t},{w_t!r},{l2!r},{linf!r},{mval!r}")
+    return "\n".join(tlines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"guidance.mc_samples": "2", "guidance.interval": "3"},
+        {"guidance.schedule": "switch_off", "guidance.t_mid": "10", "guidance.interval": "1"},
+        {"guidance.kind": "naive"},
+        {"run.trace": "false"},
+    ],
+    ids=["self-mc2", "switch-off", "naive", "untraced"],
+)
+def test_metrics_csv_matches_one_string_writer(tmp_path, overrides):
+    cfg = small_config(**{"run.trace": "true", **overrides})
+    report = run_experiment(cfg, str(tmp_path))
+    data = (tmp_path / "metrics.csv").read_bytes()
+    assert data == one_string_metrics_csv(report.trace_rows).encode()
+    lines = data.decode().splitlines()
+    assert len(lines) == 1 + len(report.trace_rows)
+    if not cfg.run_trace:
+        assert lines == [harness.TRACE_HEADER]
+        return
+    gcfg, sched = cfg.guidance_config(), cfg.noise_schedule()
+    want_ts = [t for t in guided_steps(sched.T, gcfg.n) if weight(t, gcfg, sched) != 0.0]
+    assert [step[0] for step in report.trace_rows.steps] == want_ts
+    metric_col = {line.rsplit(",", 1)[1] for line in lines[1:]}
+    assert (metric_col == {"nan"}) == (gcfg.kind == "naive")
+
+
+def test_write_report_streams_the_trace(tmp_path):
+    # 2000 chains x 100 guided steps: building metrics.csv as one string
+    # peaked at 53 MB on this trace; streamed, one step's text (about 0.6 MB)
+    chains = 2000
+    rng = np.random.default_rng(0)
+    trace = GuidanceTrace(chains)
+    trace.steps = [(t, 0.25, *rng.random((3, chains))) for t in range(100, 0, -1)]
+    cfg = small_config()
+    report = harness.RunReport(
+        config=cfg, fingerprint=cfg.fingerprint(), samples=rng.random((8, 2)), log_density=np.zeros(8),
+        metric=np.zeros(8), avg_knn=np.zeros(8), lof=np.zeros(8), trace_rows=trace,
+        forward_calls=0, backward_calls=0, wall_clock=0.0,
+    )
+    tracemalloc.start()
+    try:
+        harness.write_report(report, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    with open(tmp_path / "metrics.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + len(trace) == 1 + 200_000
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -441,6 +509,26 @@ def test_cli_train_round_trip(tmp_path, capsys):
     assert rc == 0 and ckpt.exists()
     sched = ExperimentConfig().with_overrides(SMALL).noise_schedule()
     load_checkpoint(ckpt, sched)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--steps", "0"],
+        ["train", "--steps", "-1"],
+        ["train", "--steps", "2", "--train-size", "0"],
+        ["train", "--steps", "2", "--batch-size", "0"],
+        ["train", "--steps", "2", "--lr", "-0.001"],
+        ["verify", "--mc", "0"],
+    ],
+    ids=["steps-0", "steps-negative", "train-size-0", "batch-size-0", "lr-negative", "verify-mc-0"],
+)
+def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, argv):
+    cfg_path = write_small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
