@@ -4,12 +4,15 @@ Layout: 8-byte magic, uint32-LE header length, UTF-8 JSON header, then the
 flattened parameters as little-endian float64 in layer order (W1, b1, W2, ...).
 The header records layer sizes, the schedule fingerprint and the training
 seed; loading validates all three so a checkpoint cannot silently be reused
-with a different diffusion process.
+with a different diffusion process. Checkpoints, like every file the package
+writes, go through atomic_write, so a failed write leaves the old file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -20,6 +23,20 @@ from .schedule import NoiseSchedule
 
 MAGIC = b"EPSMLP\x00\x01"
 FORMAT_VERSION = 1
+
+
+def atomic_write(path, data) -> None:
+    """Write `data`, bytes, a str or an iterable of str chunks, via <path>.tmp
+    and a rename; on failure no .tmp is left behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.writelines([data] if isinstance(data, (str, bytes)) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(model: MlpEpsModel, path) -> None:
@@ -35,11 +52,8 @@ def save_checkpoint(model: MlpEpsModel, path) -> None:
     }
     flat = np.concatenate([p.ravel() for p in model.parameters()])
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
+    params = np.ascontiguousarray(flat, dtype="<f8").tobytes()
+    atomic_write(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob, params]))
 
 
 def _is_int(v, low: int) -> bool:

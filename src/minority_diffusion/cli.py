@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_write, save_checkpoint
 from .config import _KEYMAP, ExperimentConfig
 from .errors import (
     CheckpointError,
@@ -28,7 +28,7 @@ from .evaluation import (
     verify_corollary1,
     verify_prop1,
 )
-from .harness import RECIPE_BASES, RECIPES, _atomic_write, read_samples, run_experiment, to_json
+from .harness import RECIPE_BASES, RECIPES, read_samples, run_experiment, to_json
 from .models import GmmScoreModel, MlpEpsModel, TrainOptions, train_dsm
 from .schedule import perturb
 
@@ -63,7 +63,7 @@ def _load_config(args, base: ExperimentConfig = ExperimentConfig()) -> Experimen
 def _emit(obj, path=None) -> None:
     """Write obj as JSON to the file `path`, or to stdout."""
     if path:
-        _atomic_write(path, to_json(obj))
+        atomic_write(path, to_json(obj))
     else:
         sys.stdout.write(to_json(obj))
 

@@ -15,7 +15,6 @@ Output files per run (all written atomically):
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import atomic_write, load_checkpoint
 from .config import ExperimentConfig
 from .errors import CheckpointError, ConfigError
 from .evaluation import avg_knn_batch, lof_batch, log_density_gmm, reference_set
@@ -106,20 +105,6 @@ class RunReport:
         }
 
 
-def _atomic_write(path: str, data) -> None:
-    """Write `data`, a str or an iterable of str chunks, via <path>.tmp and a
-    rename; on failure no .tmp is left behind."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.writelines([data] if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def to_json(obj) -> str:
     """The JSON text of every summary this package writes or prints."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -153,6 +138,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
         if not cfg.model_checkpoint:
             raise ConfigError("model.kind = mlp requires model.checkpoint")
         base_model = load_checkpoint(cfg.model_checkpoint, sched)
+        if base_model.dim != spec.dim:
+            raise CheckpointError(
+                f"checkpoint {cfg.model_checkpoint} models {base_model.dim}-D data, "
+                f"but benchmark {cfg.benchmark} is {spec.dim}-D"
+            )
     else:
         base_model = GmmScoreModel(spec, sched)
     model = CallCountingModel(base_model)
@@ -228,12 +218,12 @@ def write_report(report: RunReport, out_dir: str) -> None:
             zip(report.samples.tolist(), *(col.tolist() for col in columns))
         ):
             lines.append(f"{c},{','.join(map(repr, coords))},{ld!r},{mval!r},{knn!r},{lof!r}")
-        _atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
 
-        _atomic_write(os.path.join(out_dir, "metrics.csv"), _trace_chunks(report.trace_rows))
+        atomic_write(os.path.join(out_dir, "metrics.csv"), _trace_chunks(report.trace_rows))
 
-        _atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
-        _atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())
+        atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
+        atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())
     except OSError as exc:
         raise CheckpointError(f"cannot write outputs to {out_dir}: {exc}") from exc
 
@@ -285,7 +275,7 @@ def recipe_table3a_analog(out_dir: str, cfg: ExperimentConfig | None = None) -> 
         "avg_knn_strictly_increasing": bool(all(a < b for a, b in zip(knns, knns[1:]))),
         "runs": results,
     }
-    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
+    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 
@@ -303,7 +293,7 @@ def recipe_sg_ablation(out_dir: str, cfg: ExperimentConfig | None = None) -> dic
         )
         shifts[mode] = base_mean - rep.summary()["log_density_mean"]
     summary = {"recipe": "sg-ablation", "baseline_log_density": base_mean, "shifts": shifts}
-    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
+    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 
@@ -355,7 +345,7 @@ def recipe_naive_contrast(out_dir: str, cfg: ExperimentConfig | None = None) -> 
         "off_support_fraction_proposed": frac_prop,
         "off_support_fraction_naive": frac_naive,
     }
-    _atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
+    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
     return summary
 
 

@@ -19,6 +19,7 @@ Two implementations:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,20 @@ class MlpEpsModel(ScoreModel):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
             self.biases.append(np.zeros(fan_out))
+        # free float64 buffers for hidden-layer arrays, keyed by shape; glibc
+        # gives freed arrays of this size back to the OS, so fresh ones would
+        # page-fault in again on every call of a cold process. _forward's
+        # caller owns the activations it returns; linearize gives them back
+        # when its pullback is released.
+        self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+    def _take(self, shape) -> np.ndarray:
+        free = self._pool.get(shape)
+        return free.pop() if free else np.empty(shape)
+
+    def _give(self, *arrays) -> None:
+        for a in arrays:
+            self._pool.setdefault(a.shape, []).append(a)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -176,10 +191,10 @@ class MlpEpsModel(ScoreModel):
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # in place on the fresh product: fewer large temporaries, same values
-            h = h @ w
+            hidden = i < n_layers - 1  # hidden layers go to pooled buffers
+            h = np.matmul(h, w, out=self._take((h.shape[0], w.shape[1])) if hidden else None)
             h += b
-            if i < n_layers - 1:
+            if hidden:
                 np.tanh(h, out=h)
             acts.append(h)
         return h, acts
@@ -188,22 +203,32 @@ class MlpEpsModel(ScoreModel):
         """Backprop a cotangent g on the output through the forward pass that
         recorded acts; returns the cotangent on the input. on_layer(i, a, c),
         if given, gets each layer's index, input activations and the
-        cotangent on its pre-activation output, last layer first. Each
-        cotangent is freed after its layer: holding them all made a 600-row
-        pullback about 1.5x slower (page faults on fresh memory, glibc)."""
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i < len(self.weights) - 1:
-                # g is a fresh product here, so it is scaled in place
-                d = np.square(acts[i + 1])
+        cotangent on its pre-activation output, last layer first, and must
+        not keep that cotangent. Every hidden-layer array here (the 1 - a^2
+        factor and each cotangent) is taken from the model's buffer pool and
+        given back as soon as the next layer has used it; the caller's g and
+        the returned input cotangent are never pooled."""
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i < last:
+                # g is a pooled product here, so it is scaled in place
+                d = np.square(acts[i + 1], out=self._take(g.shape))
                 np.subtract(1.0, d, out=d)
                 g *= d
+                self._give(d)
             if on_layer is not None:
                 on_layer(i, acts[i], g)
-            g = g @ self.weights[i].T
+            w = self.weights[i]
+            g_in = np.matmul(g, w.T, out=self._take((g.shape[0], w.shape[0])) if i else None)
+            if i < last:
+                self._give(g)
+            g = g_in
         return g
 
     def linearize(self, x, t):
-        """eps and its input pullback, which reuses the forward activations."""
+        """eps and its input pullback, which reuses the forward activations.
+        The pullback stays valid for as long as it is held; its hidden
+        activations go back to the buffer pool when it is released."""
         x = np.asarray(x, float)
         t = np.asarray(t)
         shape = x.shape
@@ -213,6 +238,7 @@ class MlpEpsModel(ScoreModel):
             g = np.asarray(cotangent, float).reshape(-1, shape[-1])
             return self._backward(acts, g)[:, : self.dim].reshape(shape)
 
+        weakref.finalize(vjp, self._give, *acts[1:-1])
         return out.reshape(shape), vjp
 
 

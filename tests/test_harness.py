@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minority_diffusion
-from minority_diffusion import harness
+from minority_diffusion import checkpoint, harness
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import ExperimentConfig
@@ -140,6 +140,39 @@ def test_checkpoint_corruption_and_mismatch(tmp_path):
 
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt", sched)
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    sched = build_schedule("cosine", 20)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(MlpEpsModel(sched, dim=2, hidden=(8,), emb_dim=4, seed=0), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(MlpEpsModel(sched, dim=2, hidden=(8,), emb_dim=4, seed=1), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 def test_checkpoint_version_check(tmp_path):
@@ -529,6 +562,30 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
     assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+def test_cli_sample_rejects_checkpoint_of_another_dimension(tmp_path, capsys, monkeypatch):
+    # a 2-D checkpoint on a 3-D mixture exits 3 and names both dimensions,
+    # before the sampler runs
+    cfg_path = write_small_config(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfg_path), "--out", str(ckpt), "--steps", "2", "--train-size", "16"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "guided_sample", lambda *a, **k: pytest.fail("sampled"))
+    args = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    for kv in (
+        "benchmark=inline",
+        "gmm.weights=0.5,0.5",
+        "gmm.means=0,0,0;3,0,0",
+        "gmm.variances=1,1",
+        "model.kind=mlp",
+        f"model.checkpoint={ckpt}",
+    ):
+        args += ["--set", kv]
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "2-D" in err and "3-D" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -2,11 +2,18 @@
 
 Oracles: the unit Gaussian (whose optimal noise predictor has the closed form
 eps(x, t) = sqrt(1 - abar_t) x), finite differences for input Jacobians, and
-batched-vs-single-row consistency for the MLP.
+batched-vs-single-row consistency for the MLP, and a fresh model for the
+MLP's buffer pool.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import minority_diffusion
 
 from minority_diffusion import gmm
 from minority_diffusion.errors import TrainingDivergenceError
@@ -18,6 +25,7 @@ from minority_diffusion.models import (
     sinusoidal_embedding,
     train_dsm,
 )
+from minority_diffusion.sampler import GuidanceConfig, guided_sample
 from minority_diffusion.schedule import build_schedule
 
 
@@ -199,3 +207,91 @@ def test_call_counting_linearize(ring_model20):
     vjp(x)
     assert (counted.forward_calls, counted.backward_calls) == (1, 2)
     np.testing.assert_array_equal(eps, ring_model20.eps(x, 5))
+
+
+def test_mlp_pooled_buffers_never_alias_live_results(sched20):
+    # linearize and eps calls at different (x, t) interleave with pullbacks,
+    # one of them called twice and one released midway; every result must
+    # equal what a model with an empty pool gives, so no buffer handed out
+    # again can be one that a live result or pullback still uses
+    def fresh():
+        return MlpEpsModel(sched20, dim=2, hidden=(16, 16), emb_dim=8, seed=5)
+
+    model = fresh()
+    rng = np.random.default_rng(13)
+    xs = rng.normal(size=(4, 9, 2))
+    cot = rng.normal(size=(2, 9, 2))
+    eps_a, vjp_a = model.linearize(xs[0], 17)
+    eps_b = model.eps(xs[1], 4)
+    eps_c, vjp_c = model.linearize(xs[2], 11)
+    grad_a1 = vjp_a(cot[0])
+    eps_d = model.eps(xs[0], 4)
+    del vjp_c  # its activations go back to the pool
+    eps_e, vjp_e = model.linearize(xs[3], 20)
+    grad_a2 = vjp_a(cot[1])
+    grad_e = vjp_e(cot[0])
+    for got, (x, t) in [
+        (eps_a, (xs[0], 17)),
+        (eps_b, (xs[1], 4)),
+        (eps_c, (xs[2], 11)),
+        (eps_d, (xs[0], 4)),
+        (eps_e, (xs[3], 20)),
+    ]:
+        assert np.array_equal(got, fresh().eps(x, t))
+    assert np.array_equal(grad_a1, fresh().input_vjp(xs[0], 17, cot[0]))
+    assert np.array_equal(grad_a2, fresh().input_vjp(xs[0], 17, cot[1]))
+    assert np.array_equal(grad_e, fresh().input_vjp(xs[3], 20, cot[0]))
+
+
+@pytest.mark.parametrize("mc, held", [(1, 4), (2, 6)])
+def test_mlp_buffer_pool_does_not_grow_with_steps(mc, held):
+    # a guided step holds the activations at t and at s and runs one
+    # backward pass; the pool keeps what that peak needed, for any T
+    pools = []
+    for T in (10, 40):
+        sched = build_schedule("cosine", T)
+        model = MlpEpsModel(sched, dim=2, hidden=(16, 16), emb_dim=8, seed=5)
+        guided_sample(model, sched, GuidanceConfig(w=1.0, n=1, mc_samples=mc), dim=2, chains=12, seed=0)
+        pools.append({shape: len(free) for shape, free in model._pool.items()})
+    assert pools[0] == pools[1] == {(12, 16): held}
+
+
+_FAULT_PROBE = """
+import resource
+
+import numpy as np
+
+from minority_diffusion.models import MlpEpsModel
+from minority_diffusion.schedule import build_schedule
+
+model = MlpEpsModel(build_schedule("cosine", 250), dim=2, seed=0)
+x = np.random.default_rng(0).standard_normal((600, 2))
+
+
+def guided_step():
+    eps_t, vjp_t = model.linearize(x, 200)
+    eps_s, _ = model.linearize(x + eps_t, 100)
+    vjp_t(eps_s)
+    model.eps(x, 200)
+
+
+guided_step()  # fills the pool and warms BLAS up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    guided_step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-only")
+def test_mlp_guided_steps_take_few_page_faults():
+    # at 600 rows glibc hands freed 600x128 arrays back to the OS, so a
+    # model that allocated them fresh faulted each one in again: about
+    # 1 100 faults per step in a fresh process, none with the buffer pool
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(minority_diffusion.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(probe.stdout) < 2000
