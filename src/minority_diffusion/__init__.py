@@ -14,6 +14,7 @@ from .gmm import GmmSpec, benchmark
 from .harness import RECIPES, RunReport, run_experiment
 from .minority import (
     inference_metric,
+    linearize_tweedie,
     minority_score,
     round_trip,
     tweedie,
@@ -51,6 +52,7 @@ __all__ = [
     "guidance",
     "guided_sample",
     "inference_metric",
+    "linearize_tweedie",
     "minority_score",
     "naive_density_guidance",
     "perturb",

@@ -163,11 +163,11 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 13]))
     x0 = spec.sample(1, rng)[0]
     if args.mode == "prop1":
-        report = verify_prop1(x0, model, sched, m=args.mc, rng=rng)
+        report = verify_prop1(x0, model, sched, rng, m=args.mc)
     else:
         t = max(sched.T // 2, 1)
         x_t = perturb(x0, t, rng.standard_normal(x0.shape), sched)
-        report = verify_corollary1(x_t, t, model, sched, m=args.mc, rng=rng)
+        report = verify_corollary1(x_t, t, model, sched, rng, m=args.mc)
     out = {"mode": args.mode, **report.summary()}
     _emit(out, args.out)
     return 0

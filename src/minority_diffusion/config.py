@@ -32,9 +32,9 @@ file reproduces the run exactly. Keys:
   eval.knn_k                positive integer
   eval.lof_k                positive integer
   eval.reference            real | generated | pooled
-  eval.reference_size       positive integer
+  eval.reference_size       non-negative integer; used by real and pooled
   eval.metric_t_fraction    float in (0, 1); timestep for the per-sample metric
-  eval.metric_mc            MC draws for the per-sample metric
+  eval.metric_mc            positive integer; MC draws for the per-sample metric
 """
 
 from __future__ import annotations
@@ -197,6 +197,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reference mode {self.eval_reference!r}")
         if not (0.0 < self.eval_metric_t_fraction < 1.0):
             raise ConfigError("eval.metric_t_fraction must lie in (0, 1)")
+        for key, least in (("eval.knn_k", 1), ("eval.lof_k", 1), ("eval.metric_mc", 1), ("eval.reference_size", 0)):
+            value = getattr(self, _KEY_TO_FIELD[key])
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
         self.gmm_spec()
         self.noise_schedule()
         self.guidance_config()

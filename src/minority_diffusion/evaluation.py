@@ -12,7 +12,7 @@ from . import gmm
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
 from .gmm import GmmSpec
-from .minority import tweedie
+from .minority import round_trip, tweedie
 from .models import ScoreModel
 from .schedule import NoiseSchedule, perturb
 
@@ -29,15 +29,26 @@ def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
     "generated" uses the samples themselves and "pooled" both, samples first
     (so each sample excludes itself at self_offset 0). The real points come
     from their own stream of run.seed, so `sample` and a later `eval` of its
-    samples.csv see the same reference set.
+    samples.csv see the same reference set. A set too small for eval.knn_k
+    neighbours of each sample, or for eval.lof_k neighbours of each of its
+    own points (LOF scans the set against itself), raises ConfigError.
     """
     if cfg.eval_reference == "generated":
-        return samples, 0
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
-    real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
-    if cfg.eval_reference == "real":
-        return real, None
-    return np.concatenate([samples, real]), 0
+        refset, offset = samples, 0
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
+        real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
+        pooled = cfg.eval_reference == "pooled"
+        refset, offset = (np.concatenate([samples, real]), 0) if pooled else (real, None)
+    n = len(refset)
+    need = {"eval.knn_k": (cfg.eval_knn_k, n - (offset is not None)), "eval.lof_k": (cfg.eval_lof_k, n - 1)}
+    for key, (k, room) in need.items():
+        if k > room:
+            raise ConfigError(
+                f"{key} = {k} exceeds the {max(room, 0)} neighbours a {n}-point "
+                f"{cfg.eval_reference} reference set offers each point"
+            )
+    return refset, offset
 
 
 def _rank(queries, refset, cand, rows, self_offset):
@@ -171,8 +182,8 @@ def verify_prop1(
     x0: np.ndarray,
     model: ScoreModel,
     sched: NoiseSchedule,
+    rng: np.random.Generator,
     m: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> IdentityReport:
     """Check sum_t abar/(1-abar) * ||x0 - x0_hat||^2 == sum_t ||eps - eps_theta||^2.
 
@@ -182,26 +193,18 @@ def verify_prop1(
     if m < 1:
         raise ConfigError("mc samples must be >= 1")
     x0 = np.asarray(x0, float)
-    if rng is None:
-        rng = np.random.default_rng(0)
     ts = np.arange(1, sched.T + 1)
     lhs = np.empty(sched.T)
     rhs = np.empty(sched.T)
     worst = 0.0
     for t in ts:
         ab = float(sched.alpha_bar(t))
-        wbar = ab / (1.0 - ab)
-        l_draws = np.empty(m)
-        r_draws = np.empty(m)
-        for j in range(m):
-            eps = rng.standard_normal(x0.shape)
-            xt = perturb(x0, t, eps, sched)
-            resid = x0 - tweedie(xt, t, model, sched)
-            l_draws[j] = wbar * float(np.sum(resid * resid))
-            e_resid = eps - model.eps(xt, t)
-            r_draws[j] = float(np.sum(e_resid * e_resid))
-            denom = max(abs(r_draws[j]), 1e-300)
-            worst = max(worst, abs(l_draws[j] - r_draws[j]) / denom)
+        eps = rng.standard_normal((m,) + x0.shape)
+        l_draws = ab / (1.0 - ab) * round_trip(x0, t, model, sched, eps)[0]
+        e_resid = eps - model.eps(perturb(x0, t, eps, sched), t)
+        r_draws = np.sum(e_resid * e_resid, axis=-1)
+        gaps = np.abs(l_draws - r_draws) / np.maximum(np.abs(r_draws), 1e-300)
+        worst = max(worst, float(gaps.max()))
         lhs[t - 1] = l_draws.mean()
         rhs[t - 1] = r_draws.mean()
     return IdentityReport(
@@ -214,8 +217,8 @@ def verify_corollary1(
     t: int,
     model: ScoreModel,
     sched: NoiseSchedule,
+    rng: np.random.Generator,
     m: int = 1,
-    rng: np.random.Generator | None = None,
 ) -> IdentityReport:
     """Same identity with the Tweedie surrogate of a noisy latent as the clean point."""
-    return verify_prop1(tweedie(x_t, t, model, sched), model, sched, m=m, rng=rng)
+    return verify_prop1(tweedie(x_t, t, model, sched), model, sched, rng, m=m)

@@ -167,15 +167,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     eval_rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     noised = perturb(samples, t_metric, eval_rng.standard_normal(samples.shape), sched)
-    metric = inference_metric(
-        noised,
-        t_metric,
-        resolve_s(gcfg, sched),
-        model,
-        sched,
-        m=cfg.eval_metric_mc,
-        rng=eval_rng,
-    )
+    eps = eval_rng.standard_normal((cfg.eval_metric_mc,) + samples.shape)
+    metric = inference_metric(noised, t_metric, resolve_s(gcfg, sched), model, sched, eps)
 
     refset, offset = reference_set(cfg, samples)
     knn_vals = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)

@@ -27,7 +27,7 @@ import numpy as np
 from . import gmm
 from .errors import ConfigError, TrainingDivergenceError
 from .gmm import GmmSpec
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, perturb
 
 
 def eps_to_score(eps: np.ndarray, alpha_bar) -> np.ndarray:
@@ -251,9 +251,9 @@ def train_dsm(
 ) -> list[float]:
     """Fit the noise predictor by denoising score matching with Adam.
 
-    Minimizes the per-batch mean of ||eps - eps_theta(sqrt(abar_t) x0 +
-    sqrt(1-abar_t) eps, t)||^2 with t drawn uniformly from 1..T. Returns the
-    per-step loss history.
+    Minimizes the per-batch mean of ||eps - eps_theta(perturb(x0, t, eps),
+    t)||^2 with t drawn uniformly from 1..T. Returns the per-step loss
+    history.
     """
     data = np.atleast_2d(np.asarray(data, float))
     if data.shape[0] == 0:
@@ -271,9 +271,8 @@ def train_dsm(
         idx = rng.integers(0, data.shape[0], size=opts.batch_size)
         x0 = data[idx]
         t = rng.integers(1, sched.T + 1, size=opts.batch_size)
-        ab = sched.alpha_bar(t)[:, None]
         noise = rng.standard_normal(x0.shape)
-        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+        xt = perturb(x0, t, noise, sched)
         pred, acts = model._forward(xt, t)
         resid = pred - noise
         loss = float(np.sum(resid * resid) / opts.batch_size)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericDegeneracyError
 # perfbench/tracing.py patches sampler.tweedie, so the name stays importable
-from .minority import _draws, round_trip, tweedie, tweedie_from_eps  # noqa: F401
+from .minority import linearize_tweedie, round_trip, tweedie  # noqa: F401
 from .models import ScoreModel
 from .schedule import NoiseSchedule
 
@@ -95,20 +95,19 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sc
     sg_second holds the second denoised estimate constant (single backward
     pass), sg_first holds the first, and "none" differentiates both; the
     three satisfy guidance(none) = guidance(sg_first) + guidance(sg_second)
-    for shared noise. `eps` (shape (m, ..., D), or (..., D) when m = 1) pins
+    for shared noise. `eps`, of shape (cfg.mc_samples,) + x_t.shape, pins
     the metric's noise draws; the metric is inference_metric of x_t with
     the same draws.
 
-    x0_hat and the final pullback come from one model.linearize at (x_t, t);
-    the round trip from x0_hat at s supplies the metric and its cotangent.
+    x0_hat and the final pullback come from one linearize_tweedie at
+    (x_t, t); the round trip from x0_hat at s supplies the metric and its
+    cotangent.
     """
-    x_t = np.asarray(x_t, float)
-    eps = _draws(eps, cfg.mc_samples, x_t.shape, None)
-    eps_t, pullback_t = model.linearize(x_t, t)
-    x0_hat = tweedie_from_eps(x_t, t, eps_t, sched)
+    if np.shape(eps)[:1] != (cfg.mc_samples,):
+        raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
+    x0_hat, pull_t = linearize_tweedie(x_t, t, model, sched)
     draws, cot = round_trip(x0_hat, resolve_s(cfg, sched), model, sched, eps, cfg.sg_mode)
-    a_t = float(sched.alpha_bar(t))
-    g = (cot - np.sqrt(1.0 - a_t) * pullback_t(cot)) / np.sqrt(a_t)
+    g = pull_t(cot)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
     return g, draws.mean(axis=0)

@@ -142,7 +142,7 @@ def test_criterion_03_metric_tracks_negative_log_density(capsys):
     x0 = RING.sample(2000, rng)
     x_t = perturb(x0, t, rng.standard_normal(x0.shape), COSINE)
     ev = minority_score(
-        tweedie(x_t, t, RING_COS, COSINE), t, RING_COS, COSINE, m=4, rng=rng
+        tweedie(x_t, t, RING_COS, COSINE), t, RING_COS, COSINE, eps=rng.standard_normal((4,) + x_t.shape)
     )
     neg_ld = -log_density_gmm(tweedie(x_t, t, RING_COS, COSINE), RING)
     rho = scipy.stats.spearmanr(ev, neg_ld).statistic

@@ -18,9 +18,10 @@ from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
+from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
-from minority_diffusion.sampler import GuidanceTrace, guided_steps, weight
-from minority_diffusion.schedule import build_schedule
+from minority_diffusion.sampler import GuidanceTrace, guided_steps, resolve_s, weight
+from minority_diffusion.schedule import build_schedule, perturb
 
 SMALL = {
     "schedule.timesteps": "20",
@@ -402,6 +403,23 @@ def test_reference_modes(tmp_path):
         assert np.all(np.isfinite(report.lof))
 
 
+@pytest.mark.parametrize("mc", [1, 3])
+def test_per_sample_metric_noise_stream(mc):
+    # the perturbation noise, then the (mc, chains, D) metric draws, from the
+    # run seed's evaluation stream: samples.csv depends on this order
+    cfg = small_config(**{"eval.metric_mc": str(mc)})
+    report = run_experiment(cfg)
+    spec, sched = cfg.gmm_spec(), cfg.noise_schedule()
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
+    z = rng.standard_normal(report.samples.shape)
+    eps = rng.standard_normal((mc,) + report.samples.shape)
+    t_metric = sched.step_at(cfg.eval_metric_t_fraction)
+    s = resolve_s(cfg.guidance_config(), sched)
+    noised = perturb(report.samples, t_metric, z, sched)
+    want = inference_metric(noised, t_metric, s, GmmScoreModel(spec, sched), sched, eps)
+    assert np.array_equal(report.metric, want)
+
+
 def test_run_experiment_requires_checkpoint(tmp_path):
     cfg = small_config(**{"model.kind": "mlp"})
     with pytest.raises(ConfigError):
@@ -561,6 +579,40 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
     out = tmp_path / "out"
     assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("sample", ["eval.metric_mc=0"], "eval.metric_mc"),
+        ("sample", ["eval.knn_k=0"], "eval.knn_k"),
+        ("sample", ["eval.knn_k=-1"], "eval.knn_k"),
+        ("sample", ["eval.lof_k=0"], "eval.lof_k"),
+        ("sample", ["eval.reference_size=-1"], "eval.reference_size"),
+        ("sample", ["eval.reference=real", "eval.reference_size=0"], "eval.knn_k"),
+        ("sample", ["eval.reference=real", "eval.reference_size=4"], "eval.lof_k"),
+        ("sample", ["eval.reference=generated", "eval.knn_k=8"], "eval.knn_k"),
+        ("sample", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
+        ("eval", ["eval.knn_k=0"], "eval.knn_k"),
+        ("eval", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
+    ],
+)
+def test_cli_rejects_eval_settings_that_cannot_work(tmp_path, tmp_path_factory, capsys, command, overrides, key):
+    # SMALL runs 8 chains with knn_k 3 and lof_k 4: a generated reference set
+    # offers each sample 7 neighbours, a real one of n points n for kNN and
+    # n - 1 for LOF, which also scans the set against itself
+    cfg_path = write_small_config(tmp_path)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        samples = tmp_path_factory.mktemp("in") / "samples.csv"
+        rows = [f"{c},{c}.0,{-c}.5,0.0,0.0,0.0,1.0" for c in range(8)]
+        samples.write_text("\n".join(["chain,x0,x1,log_density,metric,avg_knn,lof", *rows]) + "\n")
+        argv += ["--samples", str(samples)]
+    for kv in overrides:
+        argv += ["--set", kv]
+    assert main(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 

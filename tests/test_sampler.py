@@ -105,7 +105,7 @@ def test_guidance_metric_is_inference_metric(sg, m, model_name, ring_model20, ml
     eps = rng.normal(size=(m, 5, 2))
     cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=m)
     _, metric = guidance(x, 12, cfg, model, sched20, eps=eps)
-    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, m=m, eps=eps)
+    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, eps=eps)
     assert np.array_equal(metric, want)
 
 
