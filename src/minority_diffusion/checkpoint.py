@@ -1,7 +1,8 @@
 """Versioned binary checkpoints for the MLP noise predictor.
 
 Layout: 8-byte magic, uint32-LE header length, UTF-8 JSON header, then the
-flattened parameters as little-endian float64 in layer order (W1, b1, W2, ...).
+payload: MlpEpsModel.params as stored, little-endian float64 in layer order
+(W1, b1, W2, b2, ...), each W row-major (fan_in, fan_out).
 The header records layer sizes, the schedule fingerprint and the training
 seed; loading validates all three so a checkpoint cannot silently be reused
 with a different diffusion process. Checkpoints, like every file the package
@@ -50,9 +51,8 @@ def save_checkpoint(model: MlpEpsModel, path) -> None:
         "train_seed": model.seed,
         "step_count": model.step_count,
     }
-    flat = np.concatenate([p.ravel() for p in model.parameters()])
     blob = json.dumps(header, sort_keys=True).encode()
-    params = np.ascontiguousarray(flat, dtype="<f8").tobytes()
+    params = model.params.astype("<f8", copy=False)
     atomic_write(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob, params]))
 
 
@@ -121,9 +121,5 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
         seed=header["train_seed"],
     )
     model.step_count = header.get("step_count", 0)
-    flat = np.frombuffer(raw, dtype="<f8", offset=off)
-    pos = 0
-    for p in model.parameters():
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
+    model.params[...] = np.frombuffer(raw, dtype="<f8", offset=off)
     return model

@@ -12,12 +12,12 @@ file reproduces the run exactly. Keys:
   schedule.timesteps        positive integer
   schedule.beta_start       float (linear; empty = scaled DDPM default)
   schedule.beta_end         float (linear; empty = scaled DDPM default)
-  schedule.cosine_offset    float
+  schedule.cosine_offset    float, finite and >= 0
   schedule.respace          0 (off) or target step count
   model.kind                analytic | mlp
   model.checkpoint          path (mlp only)
   guidance.kind             self | naive
-  guidance.w                float >= 0
+  guidance.w                float, finite and >= 0
   guidance.schedule         fixed | switch_off | variance
   guidance.t_mid            timestep (switch_off only; 0 = unset)
   guidance.interval         intermittent rate n
@@ -187,6 +187,10 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for name, key in _KEYMAP:
+            value = getattr(self, name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value}")
         if self.model_kind not in ("analytic", "mlp"):
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.run_chains < 1:

@@ -40,15 +40,21 @@ def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
         real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
         pooled = cfg.eval_reference == "pooled"
         refset, offset = (np.concatenate([samples, real]), 0) if pooled else (real, None)
-    n = len(refset)
-    need = {"eval.knn_k": (cfg.eval_knn_k, n - (offset is not None)), "eval.lof_k": (cfg.eval_lof_k, n - 1)}
-    for key, (k, room) in need.items():
+    check_reference_room(cfg, len(refset))
+    return refset, offset
+
+
+def check_reference_room(cfg: ExperimentConfig, n: int) -> None:
+    """Raise ConfigError unless an n-point eval.reference set offers
+    eval.knn_k neighbours to each sample, which excludes itself from a set
+    that holds the samples, and eval.lof_k to each point of the set."""
+    own = cfg.eval_reference != "real"
+    for key, k, room in (("eval.knn_k", cfg.eval_knn_k, n - own), ("eval.lof_k", cfg.eval_lof_k, n - 1)):
         if k > room:
             raise ConfigError(
                 f"{key} = {k} exceeds the {max(room, 0)} neighbours a {n}-point "
                 f"{cfg.eval_reference} reference set offers each point"
             )
-    return refset, offset
 
 
 def _rank(queries, refset, cand, rows, self_offset):

@@ -145,13 +145,11 @@ class MlpEpsModel(ScoreModel):
         self.seed = seed
         self.step_count = 0
         rng = np.random.default_rng(seed)
-        sizes = _mlp_layer_sizes(dim, hidden, emb_dim)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-            self.biases.append(np.zeros(fan_out))
+        # every weight and bias is a view into params, in checkpoint order
+        self.params = np.zeros(self.param_count(dim, hidden, emb_dim))
+        self.weights, self.biases = self._layer_views(self.params)
+        for w in self.weights:
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / sum(w.shape))
         # free float64 buffers for hidden-layer arrays, keyed by shape; glibc
         # gives freed arrays of this size back to the OS, so fresh ones would
         # page-fault in again on every call of a cold process. _forward's
@@ -177,11 +175,17 @@ class MlpEpsModel(ScoreModel):
         sizes = _mlp_layer_sizes(dim, hidden, emb_dim)
         return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+    def _layer_views(self, flat: np.ndarray):
+        """(weights, biases): per-layer views of a vector laid out like
+        params, which is W1, b1, W2, b2, ... with each W (fan_in, fan_out)."""
+        weights, biases, pos = [], [], 0
+        sizes = self.layer_sizes
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            end = pos + fan_in * fan_out
+            weights.append(flat[pos:end].reshape(fan_in, fan_out))
+            biases.append(flat[end : end + fan_out])
+            pos = end + fan_out
+        return weights, biases
 
     def _forward(self, x2d: np.ndarray, t):
         emb = sinusoidal_embedding(t, self.emb_dim)
@@ -199,16 +203,16 @@ class MlpEpsModel(ScoreModel):
             acts.append(h)
         return h, acts
 
-    def _backward(self, acts, g, on_layer=None):
+    def _backward(self, acts, g, grad=None):
         """Backprop a cotangent g on the output through the forward pass that
-        recorded acts; returns the cotangent on the input. on_layer(i, a, c),
-        if given, gets each layer's index, input activations and the
-        cotangent on its pre-activation output, last layer first, and must
-        not keep that cotangent. Every hidden-layer array here (the 1 - a^2
-        factor and each cotangent) is taken from the model's buffer pool and
-        given back as soon as the next layer has used it; the caller's g and
-        the returned input cotangent are never pooled."""
+        recorded acts; returns the cotangent on the input. grad, if given, is
+        a vector shaped like params; each layer's weight and bias gradients
+        are written into their views of it. Every hidden-layer array here
+        (the 1 - a^2 factor and each cotangent) is taken from the model's
+        buffer pool and given back as soon as the next layer has used it; the
+        caller's g and the returned input cotangent are never pooled."""
         last = len(self.weights) - 1
+        grad_w, grad_b = self._layer_views(grad) if grad is not None else (None, None)
         for i in range(last, -1, -1):
             if i < last:
                 # g is a pooled product here, so it is scaled in place
@@ -216,8 +220,9 @@ class MlpEpsModel(ScoreModel):
                 np.subtract(1.0, d, out=d)
                 g *= d
                 self._give(d)
-            if on_layer is not None:
-                on_layer(i, acts[i], g)
+            if grad is not None:
+                np.matmul(acts[i].T, g, out=grad_w[i])
+                np.sum(g, axis=0, out=grad_b[i])
             w = self.weights[i]
             g_in = np.matmul(g, w.T, out=self._take((g.shape[0], w.shape[0])) if i else None)
             if i < last:
@@ -258,15 +263,10 @@ def train_dsm(
     data = np.atleast_2d(np.asarray(data, float))
     if data.shape[0] == 0:
         raise ValueError("training data must be non-empty")
-    params = model.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    grad = np.empty_like(model.params)
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
     history = []
-    grads = [None] * len(params)
-
-    def layer_grads(i, a, g):  # layer i's weight and bias gradients, in parameters() order
-        grads[2 * i : 2 * i + 2] = a.T @ g, g.sum(axis=0)
-
     for step in range(opts.steps):
         idx = rng.integers(0, data.shape[0], size=opts.batch_size)
         x0 = data[idx]
@@ -279,15 +279,14 @@ def train_dsm(
         if not np.isfinite(loss):
             raise TrainingDivergenceError(step)
         history.append(loss)
-        model._backward(acts, 2.0 * resid / opts.batch_size, layer_grads)
+        model._backward(acts, 2.0 * resid / opts.batch_size, grad)
         model.step_count += 1
         k = step + 1  # bias correction tracks this call's Adam state
-        for p, g, mi, vi in zip(params, grads, m, v):
-            mi *= opts.beta1
-            mi += (1.0 - opts.beta1) * g
-            vi *= opts.beta2
-            vi += (1.0 - opts.beta2) * g * g
-            mhat = mi / (1.0 - opts.beta1**k)
-            vhat = vi / (1.0 - opts.beta2**k)
-            p -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
+        m *= opts.beta1
+        m += (1.0 - opts.beta1) * grad
+        v *= opts.beta2
+        v += (1.0 - opts.beta2) * grad * grad
+        mhat = m / (1.0 - opts.beta1**k)
+        vhat = v / (1.0 - opts.beta2**k)
+        model.params -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
     return history

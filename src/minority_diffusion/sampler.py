@@ -42,8 +42,8 @@ class GuidanceConfig:
     kind: str = "self"
 
     def __post_init__(self):
-        if self.w < 0:
-            raise ConfigError("guidance scale w must be non-negative")
+        if not 0.0 <= self.w < np.inf:  # False for nan too
+            raise ConfigError(f"guidance scale w must be finite and >= 0, got {self.w}")
         if self.schedule_mode not in SCHEDULE_MODES:
             raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
         if self.sg_mode not in SG_MODES:

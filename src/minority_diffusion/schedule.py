@@ -80,7 +80,9 @@ def build_schedule(
     """Construct a linear or cosine noise schedule with T steps.
 
     For the linear kind, omitted beta range defaults to the DDPM range scaled
-    by 1000/T so that alpha_bar(T) stays near zero for short schedules.
+    by 1000/T so that alpha_bar(T) stays near zero for short schedules. The
+    cosine offset must be finite and >= 0. Either kind raises ConfigError
+    unless every beta lies in (0, 1) and alpha_bar strictly decreases.
     """
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
@@ -95,6 +97,8 @@ def build_schedule(
             )
         betas = np.linspace(beta_start, beta_end, T)
     elif kind == "cosine":
+        if not 0.0 <= cosine_offset < np.inf:  # False for nan too
+            raise ConfigError(f"schedule.cosine_offset must be finite and >= 0, got {cosine_offset}")
         s0 = cosine_offset
 
         def f(u):
@@ -106,6 +110,16 @@ def build_schedule(
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
     alpha_cum = np.cumprod(1.0 - betas)
+    if not (np.all((betas > 0.0) & (betas < 1.0)) and np.all(np.diff(alpha_cum, prepend=1.0) < 0.0)):
+        given = (
+            f"schedule.cosine_offset = {cosine_offset}"
+            if kind == "cosine"
+            else f"schedule.beta_start, beta_end = {beta_start}, {beta_end}"
+        )
+        raise ConfigError(
+            f"{given} gives a {T}-step {kind} schedule with betas outside (0, 1) "
+            "or an alpha_bar that does not strictly decrease"
+        )
     return NoiseSchedule(kind=kind, T=T, betas=betas, alpha_cum=alpha_cum)
 
 

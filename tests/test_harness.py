@@ -119,6 +119,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded.eps(probe, t), model.eps(probe, t))
 
 
+def test_checkpoint_payload_is_params_in_layer_order(tmp_path):
+    # every weight and bias is a view of params, laid out W1, b1, W2, b2, ...,
+    # and the checkpoint stores params as little-endian float64 after the header
+    sched = build_schedule("cosine", 20)
+    model = MlpEpsModel(sched, dim=2, hidden=(8, 5), emb_dim=4, seed=3)
+    model.params[:] = np.arange(model.params.size)
+    pos = 0
+    for w, b in zip(model.weights, model.biases):
+        for p in (w, b):
+            assert np.shares_memory(p, model.params)
+            np.testing.assert_array_equal(p.ravel(), np.arange(pos, pos + p.size))
+            pos += p.size
+    assert pos == model.params.size == MlpEpsModel.param_count(2, (8, 5), 4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    assert raw[len(MAGIC) + 4 + hlen :] == model.params.astype("<f8").tobytes()
+    np.testing.assert_array_equal(load_checkpoint(path, sched).params, model.params)
+
+
 def test_checkpoint_corruption_and_mismatch(tmp_path):
     sched = build_schedule("cosine", 20)
     model = MlpEpsModel(sched, dim=2, hidden=(8,), emb_dim=4, seed=0)
@@ -596,12 +617,22 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
         ("sample", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
         ("eval", ["eval.knn_k=0"], "eval.knn_k"),
         ("eval", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
+        ("sample", ["guidance.w=nan"], "guidance.w"),
+        ("sample", ["guidance.w=inf"], "guidance.w"),
+        ("sample", ["schedule.cosine_offset=-1"], "schedule.cosine_offset"),
+        ("sample", ["schedule.cosine_offset=-0.5"], "schedule.cosine_offset"),
+        ("sample", ["schedule.cosine_offset=nan"], "schedule.cosine_offset"),
+        ("sample", ["schedule.cosine_offset=1e300"], "schedule.cosine_offset"),
     ],
 )
-def test_cli_rejects_eval_settings_that_cannot_work(tmp_path, tmp_path_factory, capsys, command, overrides, key):
+def test_cli_rejects_eval_settings_that_cannot_work(
+    tmp_path, tmp_path_factory, capsys, monkeypatch, command, overrides, key
+):
     # SMALL runs 8 chains with knn_k 3 and lof_k 4: a generated reference set
     # offers each sample 7 neighbours, a real one of n points n for kNN and
-    # n - 1 for LOF, which also scans the set against itself
+    # n - 1 for LOF, which also scans the set against itself. Every rejection
+    # comes before the sampler runs.
+    monkeypatch.setattr(harness, "guided_sample", lambda *a, **k: pytest.fail("sampled"))
     cfg_path = write_small_config(tmp_path)
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if command == "eval":
@@ -612,7 +643,8 @@ def test_cli_rejects_eval_settings_that_cannot_work(tmp_path, tmp_path_factory, 
     for kv in overrides:
         argv += ["--set", kv]
     assert main(argv) == EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 

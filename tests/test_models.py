@@ -142,22 +142,18 @@ def test_train_dsm_parameter_gradients_match_finite_differences(sched20):
             resid = model.eps(xt, t) - noise
             return np.sum(resid * resid) / opts.batch_size
 
-        want = []
-        for p in model.parameters():
-            fd = np.empty_like(p)
-            for i in np.ndindex(p.shape):
-                old = p[i]
-                p[i] = old + h
-                up = loss()
-                p[i] = old - h
-                fd[i] = (up - loss()) / (2.0 * h)
-                p[i] = old
-            want.append(fd)
-        before = [p.copy() for p in model.parameters()]
+        params = model.params
+        want = np.empty_like(params)
+        for i, old in enumerate(params.tolist()):
+            params[i] = old + h
+            up = loss()
+            params[i] = old - h
+            want[i] = (up - loss()) / (2.0 * h)
+            params[i] = old
+        before = params.copy()
         train_dsm(model, data, sched20, opts, np.random.default_rng(seed))
-        for p0, p, fd in zip(before, model.parameters(), want):
-            step = p0 - p
-            np.testing.assert_allclose(step / (1.0 - np.abs(step)), fd, rtol=1e-5, atol=1e-8)
+        step = before - model.params
+        np.testing.assert_allclose(step / (1.0 - np.abs(step)), want, rtol=1e-5, atol=1e-8)
 
 
 def test_train_dsm_reports_divergence_step(sched20):

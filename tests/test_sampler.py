@@ -155,8 +155,9 @@ def test_normalize_linf():
 
 
 def test_guidance_config_validation():
-    with pytest.raises(ConfigError):
-        GuidanceConfig(w=-0.1)
+    for w in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            GuidanceConfig(w=w)
     with pytest.raises(ConfigError):
         GuidanceConfig(schedule_mode="linear")
     with pytest.raises(ConfigError):

@@ -151,3 +151,6 @@ def test_build_schedule_rejects_bad_inputs():
         build_schedule("linear", 10, beta_start=0.5, beta_end=0.1)
     with pytest.raises(ConfigError):
         build_schedule("linear", 10, beta_start=0.0, beta_end=0.1)
+    for offset in (-1.0, -0.5, float("nan"), float("inf"), 1e300):
+        with pytest.raises(ConfigError, match="cosine_offset"):
+            build_schedule("cosine", 10, cosine_offset=offset)
