@@ -44,6 +44,13 @@ def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
     return refset, offset
 
 
+def reference_rows(cfg: ExperimentConfig) -> int:
+    """Size of the eval.reference set for run.chains samples: eval.reference_size
+    real points, the samples themselves, or both."""
+    real, chains = cfg.eval_reference_size, cfg.run_chains
+    return {"real": real, "generated": chains, "pooled": chains + real}[cfg.eval_reference]
+
+
 def check_reference_room(cfg: ExperimentConfig, n: int) -> None:
     """Raise ConfigError unless an n-point eval.reference set offers
     eval.knn_k neighbours to each sample, which excludes itself from a set

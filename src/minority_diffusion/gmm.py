@@ -4,15 +4,29 @@ Under the forward kernel, a mixture component N(mu, s2 I) becomes
 N(sqrt(abar_t) mu, (abar_t s2 + 1 - abar_t) I), so the perturbed density,
 its score and its Hessian stay in closed form.
 
-The kernels contract the small K and D axes with `np.einsum` over an
-explicit difference x - mu_k (no ||x||^2 - 2 x.mu + ||mu||^2 expansion).
-They do not use `matmul` on the batch axis: BLAS may round a row
-differently depending on how many rows come with it, and a chain's result
-must not depend on the batch it is sampled in.
+Layout: the kernels take rows of shape (..., D) and hold the N rows on
+the contiguous axis: x as (D, N), the differences x - mu_k (formed
+explicitly, no ||x||^2 - 2 x.mu + ||mu||^2 expansion) and the component
+scores as (D, K, N), the responsibilities as (K, N). D and K are small,
+so every elementwise op and every `np.einsum` reduction over D or K runs
+inner loops of length N rather than of length D.
+
+A chain's result must not depend on the batch it is sampled in, so a row
+comes out bit-identical however many rows come with it and however they
+are laid out in memory:
+  * transposed inputs (x, the means, the vector of a Hessian product) are
+    copied to C order: reducing over D of a strided transpose can make
+    einsum pick another loop order, which rounds differently;
+  * a lone row is evaluated as a pair: a (K, 1) column is contiguous,
+    and numpy sums it pairwise instead of term by term as for N >= 2;
+  * no `matmul` runs on the batch axis: BLAS may round a row differently
+    depending on how many rows come with it.
+Results come back as C-ordered (..., D) arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,19 +78,37 @@ def perturbed_params(spec: GmmSpec, t, sched: NoiseSchedule):
     return np.sqrt(ab) * spec.means, ab * spec.variances + (1.0 - ab)
 
 
-def _component_logpdfs(x, means, variances):
-    x = np.asarray(x, float)
-    diff = x[..., None, :] - means  # (..., K, D)
-    sq = np.einsum("...kd,...kd->...k", diff, diff)
-    d = means.shape[-1]
-    return -0.5 * sq / variances - 0.5 * d * np.log(2.0 * np.pi * variances), diff
+def _columns(x, dim: int) -> np.ndarray:
+    """The rows of x (..., dim) as a C-ordered (dim, N) array, N >= 2: a
+    lone row is doubled, so it reduces as it would in any batch."""
+    rows = np.asarray(x, float).reshape(-1, dim)
+    if rows.shape[0] == 1:
+        rows = np.concatenate([rows, rows])
+    return np.ascontiguousarray(rows.T)
+
+
+def _rows(cols: np.ndarray, shape) -> np.ndarray:
+    """Inverse of `_columns`: (dim, N) columns back to C-ordered rows of `shape`."""
+    return np.ascontiguousarray(cols.T[: math.prod(shape[:-1])]).reshape(shape)
+
+
+def _component_logpdfs(cols, means, variances):
+    """(logn, diff): the (K, N) component log-densities at the (D, N) columns
+    and the (D, K, N) differences x - mu_k they are computed from."""
+    d = cols.shape[0]
+    diff = cols[:, None, :] - np.ascontiguousarray(means.T)[:, :, None]
+    sq = np.einsum("dkn,dkn->kn", diff, diff)
+    const = 0.5 * d * np.log(2.0 * np.pi * variances)
+    return -0.5 * sq / variances[:, None] - const[:, None], diff
 
 
 def log_density(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
     """Exact log-density of the clean (t=None) or perturbed mixture, via log-sum-exp."""
+    x = np.asarray(x, float)
     means, variances = perturbed_params(spec, t, sched)
-    logn, _ = _component_logpdfs(x, means, variances)
-    return logsumexp(np.log(spec.weights) + logn, axis=-1)
+    logn, _ = _component_logpdfs(_columns(x, spec.dim), means, variances)
+    out = logsumexp(np.log(spec.weights)[:, None] + logn, axis=0)
+    return out[: math.prod(x.shape[:-1])].reshape(x.shape[:-1])
 
 
 def score_and_hvp(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
@@ -87,26 +119,28 @@ def score_and_hvp(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
     by both. H = sum_k r_k (g_k g_k^T - I / v_k) - s s^T with component
     scores g_k; only the matrix-vector product is formed.
     """
+    x = np.asarray(x, float)
     means, variances = perturbed_params(spec, t, sched)
-    logn, diff = _component_logpdfs(x, means, variances)
+    logn, diff = _component_logpdfs(_columns(x, spec.dim), means, variances)
     # softmax over K, in scipy.special.softmax's operation order
-    a = np.log(spec.weights) + logn
-    e = np.exp(a - np.max(a, axis=-1, keepdims=True))
-    resp = e / np.sum(e, axis=-1, keepdims=True)
-    # (..., K, D) per-component score -diff / v_k, in diff's buffer: a fresh
-    # array this size can cost more in page faults than the arithmetic
-    g = np.negative(np.divide(diff, variances[..., :, None], out=diff), out=diff)
-    s = np.einsum("...k,...kd->...d", resp, g)
+    a = np.log(spec.weights)[:, None] + logn
+    e = np.exp(a - a.max(axis=0))
+    resp = e / e.sum(axis=0)
+    # (D, K, N) per-component score diff / -v_k (bitwise -(diff / v_k)), in
+    # diff's buffer: a fresh array this size can cost more in page faults
+    # than the arithmetic
+    g = np.divide(diff, -variances[:, None], out=diff)
+    s = np.einsum("kn,dkn->dn", resp, g)
 
     def hvp(u):
-        u = np.asarray(u, float)
-        gu = np.einsum("...kd,...d->...k", g, u)
-        term = np.einsum("...k,...kd->...d", resp * gu, g)
-        term -= np.einsum("...k,...k->...", resp, 1.0 / variances)[..., None] * u
-        term -= s * np.einsum("...d,...d->...", s, u)[..., None]
-        return term
+        uc = _columns(u, spec.dim)
+        gu = np.einsum("dkn,dn->kn", g, uc)
+        term = np.einsum("kn,dkn->dn", resp * gu, g)
+        term -= np.einsum("kn,k->n", resp, 1.0 / variances) * uc
+        term -= s * np.einsum("dn,dn->n", s, uc)
+        return _rows(term, x.shape)
 
-    return s, hvp
+    return _rows(s, x.shape), hvp
 
 
 def score(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):

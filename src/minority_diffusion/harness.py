@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint
 from .config import ExperimentConfig
 from .errors import CheckpointError, ConfigError
-from .evaluation import avg_knn_batch, check_reference_room, lof_batch, log_density_gmm, reference_set
+from .evaluation import avg_knn_batch, check_reference_room, lof_batch, log_density_gmm, reference_rows, reference_set
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel
 from .sampler import GuidanceTrace, guided_sample, guided_steps, resolve_s, weight
@@ -130,8 +130,7 @@ def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Sample, evaluate, and (optionally) persist one experiment."""
     cfg.validate()
-    chains, real = cfg.run_chains, cfg.eval_reference_size
-    check_reference_room(cfg, {"real": real, "generated": chains, "pooled": chains + real}[cfg.eval_reference])
+    check_reference_room(cfg, reference_rows(cfg))
     start = time.perf_counter()
     spec = cfg.gmm_spec()
     sched = cfg.noise_schedule()

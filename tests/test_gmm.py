@@ -5,6 +5,8 @@ and derivatives (score, Hessian product) against central finite differences
 of the independently computed log-density.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,16 +41,21 @@ def spec3():
     )
 
 
-@pytest.fixture(scope="module")
-def spec16():
-    # 16-D, 8 components with 8:1 alternating weights and unequal variances
-    rng = np.random.default_rng(16)
-    raw = np.tile([8.0, 1.0], 4)
+def mixture(dim, k, seed):
+    """k isotropic components in dim dimensions, with alternating 8:1
+    weights and unequal variances."""
+    rng = np.random.default_rng(seed)
+    raw = np.tile([8.0, 1.0], 4)[:k]
     return GmmSpec(
         weights=raw / raw.sum(),
-        means=3.0 * rng.standard_normal((8, 16)),
-        variances=rng.uniform(0.25, 1.0, size=8),
+        means=3.0 * rng.standard_normal((k, dim)),
+        variances=rng.uniform(0.25, 1.0, size=k),
     )
+
+
+@pytest.fixture(scope="module")
+def spec16():
+    return mixture(16, 8, seed=16)
 
 
 def test_log_density_matches_brute_force(spec3):
@@ -113,24 +120,109 @@ def test_derivatives_match_finite_differences_16d(spec16, sched20):
         np.testing.assert_allclose(hu, fd, rtol=1e-4, atol=1e-6)
 
 
-@pytest.mark.parametrize("which", ["gmm8-ring", "16d"])
-def test_row_matches_its_row_in_a_batch_bitwise(which, spec16, sched20):
+def loop_score_and_hvp(x, u, weights, means, variances):
+    """(s, H @ u) at one point x, one component at a time, from the closed
+    form H = sum_k r_k (g_k g_k^T - I / v_k) - s s^T, and the bounds
+    sum_k r_k |g_k| and |H| @ |u| on the magnitude of the terms summed."""
+    d = x.size
+    logs = [
+        math.log(w) - 0.5 * float(np.sum((x - mu) ** 2)) / v - 0.5 * d * math.log(2.0 * math.pi * v)
+        for w, mu, v in zip(weights, means, variances)
+    ]
+    top = max(logs)
+    total = sum(math.exp(a - top) for a in logs)
+    s, h = np.zeros(d), np.zeros((d, d))
+    s_bound, h_bound = np.zeros(d), np.zeros((d, d))
+    for a, mu, v in zip(logs, means, variances):
+        r = math.exp(a - top) / total
+        g = -(x - mu) / v
+        s += r * g
+        h += r * (np.outer(g, g) - np.eye(d) / v)
+        s_bound += r * np.abs(g)
+        h_bound += r * (np.outer(np.abs(g), np.abs(g)) + np.eye(d) / v)
+    h -= np.outer(s, s)
+    h_bound += np.outer(np.abs(s), np.abs(s))
+    return s, h @ u, s_bound, h_bound @ np.abs(u)
+
+
+@pytest.mark.parametrize("t", [None, 7])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_kernel_matches_per_component_loop(dim, k, t, sched20):
+    # the batched kernel against a plain loop over components, to 1e-12
+    # relative to the size of the terms each entry sums (where terms cancel,
+    # the entry itself can be far smaller than its rounding); the
+    # finite-difference tests above resolve only about 1e-5
+    spec = mixture(dim, k, seed=100 * dim + k)
+    rng = np.random.default_rng(k)
+    means, variances = perturbed_params(spec, t, sched20)
+    xs = spec.sample(40, rng) + rng.standard_normal((40, dim))
+    us = rng.normal(size=(40, dim))
+    s = score(xs, spec, t, sched20)
+    hu = hessian_vjp(xs, us, spec, t, sched20)
+    assert s.shape == hu.shape == (40, dim)
+    for x, u, s_i, hu_i in zip(xs, us, s, hu):
+        want_s, want_hu, s_bound, hu_bound = loop_score_and_hvp(x, u, spec.weights, means, variances)
+        assert np.all(np.abs(s_i - want_s) <= 1e-12 * s_bound)
+        assert np.all(np.abs(hu_i - want_hu) <= 1e-12 * hu_bound)
+
+
+def _rows_as(layout, xs):
+    """xs as a C-ordered batch, a strided view, or a Fortran-ordered copy."""
+    if layout == "strided":
+        spread = np.zeros((2 * len(xs), xs.shape[1]))
+        spread[::2] = xs
+        return spread[::2]
+    return np.asfortranarray(xs) if layout == "fortran" else xs
+
+
+@pytest.mark.parametrize(
+    "which, layout",
+    [
+        pytest.param(which, layout, id=which if layout == "contiguous" else f"{which}-{layout}")
+        for which in ("1d", "gmm8-ring", "16d", "16d-one-component")
+        for layout in ("contiguous", "strided", "fortran")
+    ],
+)
+def test_row_matches_its_row_in_a_batch_bitwise(which, layout, spec16, sched20):
     # a chain's score and Hessian product must not depend on the batch it
-    # is evaluated in; this is what keeps sampling exact per (seed, chain)
-    spec = benchmark("gmm8-ring") if which == "gmm8-ring" else spec16
+    # is evaluated in, nor on the memory layout its rows come in; this is
+    # what keeps sampling exact per (seed, chain). The reference is the
+    # 37-row C-ordered batch; every batch below is cut from `layout` rows.
+    # Eight components make the K-reductions long enough for numpy to sum
+    # a contiguous run pairwise; with one component the D-reductions are
+    # the only ones left.
+    spec = {
+        "1d": mixture(1, 8, seed=1),
+        "gmm8-ring": benchmark("gmm8-ring"),
+        "16d": spec16,
+        "16d-one-component": mixture(16, 1, seed=17),
+    }[which]
     rng = np.random.default_rng(9)
     xs = rng.normal(scale=3.0, size=(37, spec.dim))
     us = rng.normal(size=(37, spec.dim))
+    xl, ul = _rows_as(layout, xs), _rows_as(layout, us)
     for t in (None, 3, 20):
         s, hvp = score_and_hvp(xs, spec, t, sched20)
         hu = hvp(us)
+        ld = log_density(xs, spec, t, sched20)
+        s_all, hvp_all = score_and_hvp(xl, spec, t, sched20)
+        np.testing.assert_array_equal(s_all, s)
+        np.testing.assert_array_equal(hvp_all(ul), hu)
+        np.testing.assert_array_equal(log_density(xl, spec, t, sched20), ld)
         for i in (0, 1, 18, 36):
-            s_i, hvp_i = score_and_hvp(xs[i], spec, t, sched20)
+            s_i, hvp_i = score_and_hvp(xl[i], spec, t, sched20)
             np.testing.assert_array_equal(s_i, s[i])
-            np.testing.assert_array_equal(hvp_i(us[i]), hu[i])
-        s_head, hvp_head = score_and_hvp(xs[:5], spec, t, sched20)
+            np.testing.assert_array_equal(hvp_i(ul[i]), hu[i])
+            assert log_density(xl[i], spec, t, sched20) == ld[i]
+            for rows in (slice(i, i + 1), slice(min(i, 35), min(i, 35) + 2)):
+                s_b, hvp_b = score_and_hvp(xl[rows], spec, t, sched20)
+                np.testing.assert_array_equal(s_b, s[rows])
+                np.testing.assert_array_equal(hvp_b(ul[rows]), hu[rows])
+                np.testing.assert_array_equal(log_density(xl[rows], spec, t, sched20), ld[rows])
+        s_head, hvp_head = score_and_hvp(xl[:5], spec, t, sched20)
         np.testing.assert_array_equal(s_head, s[:5])
-        np.testing.assert_array_equal(hvp_head(us[:5]), hu[:5])
+        np.testing.assert_array_equal(hvp_head(ul[:5]), hu[:5])
 
 
 def test_perturbed_density_is_mixture_of_pushed_components(spec3, sched20):

@@ -15,8 +15,9 @@ import minority_diffusion
 from minority_diffusion import checkpoint, harness
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
-from minority_diffusion.config import ExperimentConfig
+from minority_diffusion.config import _KEYMAP, ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
+from minority_diffusion.evaluation import reference_rows, reference_set
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
@@ -422,6 +423,8 @@ def test_reference_modes(tmp_path):
         report = run_experiment(cfg)
         assert report.avg_knn.shape == (16,)
         assert np.all(np.isfinite(report.lof))
+        # the size checked before sampling is the size of the set built after
+        assert reference_rows(cfg) == len(reference_set(cfg, report.samples)[0])
 
 
 @pytest.mark.parametrize("mc", [1, 3])
@@ -646,6 +649,48 @@ def test_cli_rejects_eval_settings_that_cannot_work(
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+_SET_KEYS = [key for _, key in _KEYMAP]
+_HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "", "x"]
+
+
+def test_cli_sample_any_set_value_runs_or_exits_cleanly(tmp_path_factory, capsys):
+    # every documented key with a hostile value, in-process: the run either
+    # succeeds with finite artifacts and a resolved-config that re-parses, or
+    # exits 2, 3 or 4 with a message and no traceback; a config error writes
+    # nothing but the config the test itself wrote
+    traced = ExperimentConfig().with_overrides({**SMALL, "run.trace": "true"}).to_text()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_SET_KEYS), st.sampled_from(_HOSTILE_VALUES)), min_size=1, max_size=3))
+    def check(pairs):
+        work = tmp_path_factory.mktemp("set")
+        cfg_path = work / "cfg.txt"
+        cfg_path.write_text(traced)
+        out = work / "out"
+        argv = ["sample", "--config", str(cfg_path), "--chains", "8", "--out", str(out)]
+        for key, value in pairs:
+            argv += ["--set", f"{key}={value}"]
+        with np.errstate(all="ignore"):
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC), (pairs, rc, err)
+        if rc == 0:
+            rows = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert rows.shape[0] == 8 and np.all(np.isfinite(rows))
+            trace = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+            assert np.all(np.isfinite(np.array(trace, float)))
+            summary = json.loads((out / "summary.json").read_text())
+            assert all(np.isfinite(v) for v in summary.values() if isinstance(v, float))
+            resolved = ExperimentConfig.from_text((out / "resolved-config").read_text())
+            assert all(np.isfinite(v) for v in vars(resolved).values() if isinstance(v, float))
+        else:
+            assert err.strip() and "Traceback" not in err
+        if rc == EXIT_CONFIG:
+            assert sorted(p.name for p in work.iterdir()) == ["cfg.txt"]
+
+    check()
 
 
 def test_cli_sample_rejects_checkpoint_of_another_dimension(tmp_path, capsys, monkeypatch):
