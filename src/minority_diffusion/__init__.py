@@ -22,7 +22,6 @@ from .minority import (
 from .models import GmmScoreModel, MlpEpsModel, ScoreModel, TrainOptions, train_dsm
 from .sampler import (
     GuidanceConfig,
-    GuidanceTrace,
     guidance,
     guided_sample,
     naive_density_guidance,
@@ -38,7 +37,6 @@ __all__ = [
     "GmmScoreModel",
     "GmmSpec",
     "GuidanceConfig",
-    "GuidanceTrace",
     "MlpEpsModel",
     "NoiseSchedule",
     "NumericDegeneracyError",

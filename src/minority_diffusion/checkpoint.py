@@ -27,12 +27,12 @@ FORMAT_VERSION = 1
 
 
 def atomic_write(path, data) -> None:
-    """Write `data`, bytes, a str or an iterable of str chunks, via <path>.tmp
-    and a rename; on failure no .tmp is left behind."""
+    """Write `data`, bytes or a str, via <path>.tmp and a rename; on failure
+    no .tmp is left behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.writelines([data] if isinstance(data, (str, bytes)) else data)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -5,9 +5,10 @@ Output files per run (all written atomically):
   samples.csv       one row per chain: final coordinates, exact clean
                     log-density, uniqueness metric at the designated timestep,
                     AvgkNN, LOF
-  metrics.csv       the guidance trace: one row per guided step and chain,
-                    ordered by step (descending t), then by chain; only the
-                    header when run.trace = false
+  metrics.csv       the guidance trace: one row per guided step (descending
+                    t), with the mean and chain quantiles of the guidance
+                    norms and the metric; only the header when
+                    run.trace = false
   summary.json      aggregate statistics plus config fingerprint and seed
   resolved-config   the fully resolved flat config; re-running from it
                     reproduces every numeric column byte-for-byte
@@ -28,7 +29,7 @@ from .errors import CheckpointError, ConfigError
 from .evaluation import avg_knn_batch, check_reference_room, lof_batch, log_density_gmm, reference_rows, reference_set
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel
-from .sampler import GuidanceTrace, guided_sample, guided_steps, resolve_s, weight
+from .sampler import TRACE_HEADER, guided_sample, guided_steps, resolve_s, weight
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -62,7 +63,6 @@ def read_samples(path: str, dim: int) -> np.ndarray:
     return rows[:, 1 : 1 + dim]
 
 
-TRACE_HEADER = "chain,t,weight,guidance_l2,guidance_linf,metric"
 SCHEMA_VERSION = 1
 
 
@@ -75,7 +75,7 @@ class RunReport:
     metric: np.ndarray
     avg_knn: np.ndarray
     lof: np.ndarray
-    trace_rows: GuidanceTrace  # len() is the metrics.csv row count
+    trace_rows: list  # guided_sample's trace, one metrics.csv row per entry
     forward_calls: int
     backward_calls: int
     wall_clock: float
@@ -193,15 +193,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     return report
 
 
-def _trace_chunks(trace: GuidanceTrace):
-    """metrics.csv one guided step at a time, so only one step's text is held."""
-    yield TRACE_HEADER + "\n"
-    chains = range(trace.chains)
-    for t, w_t, *columns in trace.steps:
-        row = f"%d,{t},{w_t!r},%r,%r,%r\n"
-        yield "".join(map(row.__mod__, zip(chains, *(col.tolist() for col in columns))))
-
-
 def write_report(report: RunReport, out_dir: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -214,7 +205,8 @@ def write_report(report: RunReport, out_dir: str) -> None:
             lines.append(f"{c},{','.join(map(repr, coords))},{ld!r},{mval!r},{knn!r},{lof!r}")
         atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
 
-        atomic_write(os.path.join(out_dir, "metrics.csv"), _trace_chunks(report.trace_rows))
+        trace = [TRACE_HEADER, *(",".join(map(repr, row)) for row in report.trace_rows)]
+        atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(trace) + "\n")
 
         atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
         atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())

@@ -144,19 +144,13 @@ def guided_steps(T: int, n: int) -> list[int]:
     return [t for t in range(T, 0, -1) if t % n == 0]
 
 
-class GuidanceTrace:
-    """The guidance trace as columns. `steps` holds one (t, w_t, l2, linf,
-    metric) entry per guided step, in sampling order; l2 and linf are the
-    norms of each chain's guidance vector and metric its inference metric
-    (NaN under naive guidance), float64 arrays with one value per chain.
-    len() counts chain rows, one per line of metrics.csv."""
-
-    def __init__(self, chains: int):
-        self.chains = chains
-        self.steps = []
-
-    def __len__(self) -> int:
-        return self.chains * len(self.steps)
+# chain quantiles of each traced quantity, next to its mean; the header
+# names the columns of one guided_sample trace row
+TRACE_QUANTILES = (0.0, 0.1, 0.5, 0.9, 1.0)
+TRACE_HEADER = "t,weight," + ",".join(
+    f"{name}_{stat}" for name in ("l2", "linf", "metric")
+    for stat in ("mean", *(f"q{round(100 * q)}" for q in TRACE_QUANTILES))
+)
 
 
 def guided_sample(
@@ -168,15 +162,20 @@ def guided_sample(
     seed: int,
     trace: bool = False,
 ):
-    """Run `chains` independent guided reverse chains; returns (samples, GuidanceTrace).
+    """Run `chains` independent guided reverse chains; returns (samples, trace).
 
     All chains are advanced together (the per-chain noise tapes are drawn
     up front from per-chain streams, so the batched loop matches chain-by-chain
     execution exactly). Guidance is evaluated at the pre-transition latent
     whenever t % n == 0 and the schedule weight is nonzero; with w = 0 the
     guidance machinery is never touched. A chain state that turns
-    non-finite raises NumericDegeneracyError naming the timestep. The trace
-    stays empty unless `trace` is set.
+    non-finite raises NumericDegeneracyError naming the timestep.
+
+    The trace is a list with one row per guided step, in sampling order,
+    empty unless `trace` is set: (t, w_t), then the mean and the
+    TRACE_QUANTILES over the chains of the guidance vector's L2 norm, of
+    its L-infinity norm and of the inference metric (NaN under naive
+    guidance), all Python floats.
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
@@ -194,7 +193,7 @@ def guided_sample(
             eps_tape[c] = rng_g.standard_normal((len(g_steps), cfg.mc_samples, dim))
 
     x = noise[:, 0, :].copy()
-    recorded = GuidanceTrace(chains)
+    recorded = []
     for t in range(T, 0, -1):
         g_vec = None
         w_t = 0.0
@@ -214,8 +213,9 @@ def guided_sample(
         if g_vec is not None:
             x = x + w_t * g_vec
             if trace:
-                l2 = np.linalg.norm(g_vec, axis=-1)
-                recorded.steps.append((t, float(w_t), l2, np.max(np.abs(g_vec), axis=-1), metric))
+                cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])
+                stats = np.column_stack([cols.mean(axis=1), np.quantile(cols, TRACE_QUANTILES, axis=1).T])
+                recorded.append((t, float(w_t), *stats.ravel().tolist()))
         if not np.isfinite(x).all():
             raise NumericDegeneracyError(f"non-finite chain state at t = {t}")
     return x, recorded

@@ -3,8 +3,6 @@
 import json
 import os
 import struct
-import tracemalloc
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minority_diffusion
-from minority_diffusion import checkpoint, harness
+from minority_diffusion import checkpoint, harness, sampler
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
@@ -21,7 +19,7 @@ from minority_diffusion.evaluation import reference_rows, reference_set
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
-from minority_diffusion.sampler import GuidanceTrace, guided_steps, resolve_s, weight
+from minority_diffusion.sampler import guided_steps, resolve_s, weight
 from minority_diffusion.schedule import build_schedule, perturb
 
 SMALL = {
@@ -181,10 +179,6 @@ class _HalfWriter:
         self.fh.write(data[: len(data) // 2])
         raise OSError(28, "No space left on device")
 
-    def writelines(self, chunks):
-        for chunk in chunks:
-            self.write(chunk)
-
 
 def test_failed_checkpoint_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     sched = build_schedule("cosine", 20)
@@ -326,18 +320,11 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert again == cfg
 
 
-def one_string_metrics_csv(trace):
-    """metrics.csv as the tuple-per-row trace and its one-string writer built
-    it: the byte-for-byte oracle of the streamed writer."""
-    rows = []
-    for t, w_t, l2, linf, metric in trace.steps:
-        rows.extend(
-            zip(range(trace.chains), repeat(t), repeat(float(w_t)), l2.tolist(), linf.tolist(), metric.tolist())
-        )
-    tlines = [harness.TRACE_HEADER]
-    for chain, t, w_t, l2, linf, mval in rows:
-        tlines.append(f"{chain},{t},{w_t!r},{l2!r},{linf!r},{mval!r}")
-    return "\n".join(tlines) + "\n"
+TRACE_COLUMNS = (
+    "t,weight,l2_mean,l2_q0,l2_q10,l2_q50,l2_q90,l2_q100,"
+    "linf_mean,linf_q0,linf_q10,linf_q50,linf_q90,linf_q100,"
+    "metric_mean,metric_q0,metric_q10,metric_q50,metric_q90,metric_q100"
+)
 
 
 @pytest.mark.parametrize(
@@ -350,45 +337,54 @@ def one_string_metrics_csv(trace):
     ],
     ids=["self-mc2", "switch-off", "naive", "untraced"],
 )
-def test_metrics_csv_matches_one_string_writer(tmp_path, overrides):
+def test_trace_rows_are_chain_aggregates(tmp_path, monkeypatch, overrides):
+    # capture each guided step's per-chain guidance vectors and metrics
+    captured = []
+
+    def spy(fn):
+        def wrapped(x, *args, **kwargs):
+            out = fn(x, *args, **kwargs)
+            g, metric = out if isinstance(out, tuple) else (out, np.full(len(x), np.nan))
+            captured.append((np.linalg.norm(g, axis=-1), np.max(np.abs(g), axis=-1), metric))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(sampler, "guidance", spy(sampler.guidance))
+    monkeypatch.setattr(sampler, "naive_density_guidance", spy(sampler.naive_density_guidance))
     cfg = small_config(**{"run.trace": "true", **overrides})
     report = run_experiment(cfg, str(tmp_path))
-    data = (tmp_path / "metrics.csv").read_bytes()
-    assert data == one_string_metrics_csv(report.trace_rows).encode()
-    lines = data.decode().splitlines()
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines[0] == TRACE_COLUMNS
     assert len(lines) == 1 + len(report.trace_rows)
-    if not cfg.run_trace:
-        assert lines == [harness.TRACE_HEADER]
-        return
     gcfg, sched = cfg.guidance_config(), cfg.noise_schedule()
+    # guidance fires, and a row is kept, only where w_t != 0
     want_ts = [t for t in guided_steps(sched.T, gcfg.n) if weight(t, gcfg, sched) != 0.0]
-    assert [step[0] for step in report.trace_rows.steps] == want_ts
-    metric_col = {line.rsplit(",", 1)[1] for line in lines[1:]}
-    assert (metric_col == {"nan"}) == (gcfg.kind == "naive")
+    assert len(captured) == len(want_ts)
+    if not cfg.run_trace:
+        assert report.trace_rows == [] and not report.trace_rows
+        return
+    assert [row[0] for row in report.trace_rows] == want_ts
+    for row, line, columns in zip(report.trace_rows, lines[1:], captured):
+        assert row[1] == weight(row[0], gcfg, sched)
+        # written with repr, so the file reads back to the row exactly
+        np.testing.assert_array_equal(np.array(line.split(","), dtype=float), row)
+        for col, (mean, *quantiles) in zip(columns, np.reshape(row[2:], (3, 6))):
+            np.testing.assert_allclose(mean, np.mean(col), rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(quantiles, np.quantile(col, (0, 0.1, 0.5, 0.9, 1)))
+        assert np.all(np.isfinite(row[2:14]))
+        assert np.all(np.isnan(row[14:]) if gcfg.kind == "naive" else np.isfinite(row[14:]))
 
 
-def test_write_report_streams_the_trace(tmp_path):
-    # 2000 chains x 100 guided steps: building metrics.csv as one string
-    # peaked at 53 MB on this trace; streamed, one step's text (about 0.6 MB)
-    chains = 2000
-    rng = np.random.default_rng(0)
-    trace = GuidanceTrace(chains)
-    trace.steps = [(t, 0.25, *rng.random((3, chains))) for t in range(100, 0, -1)]
-    cfg = small_config()
-    report = harness.RunReport(
-        config=cfg, fingerprint=cfg.fingerprint(), samples=rng.random((8, 2)), log_density=np.zeros(8),
-        metric=np.zeros(8), avg_knn=np.zeros(8), lof=np.zeros(8), trace_rows=trace,
-        forward_calls=0, backward_calls=0, wall_clock=0.0,
-    )
-    tracemalloc.start()
-    try:
-        harness.write_report(report, str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
-    with open(tmp_path / "metrics.csv") as fh:
-        assert sum(1 for _ in fh) == 1 + len(trace) == 1 + 200_000
+def test_trace_size_does_not_grow_with_chains(tmp_path):
+    shapes = []
+    for chains in (40, 4000):
+        report = run_experiment(small_config(**{"run.trace": "true", "run.chains": str(chains)}), str(tmp_path))
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(report.trace_rows)
+        shapes.append((len(report.trace_rows), sum(map(len, report.trace_rows)), [line.count(",") for line in lines]))
+    assert shapes[0] == shapes[1]
+    assert shapes[0][0] == len(guided_steps(20, 5))
 
 
 @pytest.mark.parametrize(

@@ -192,7 +192,7 @@ def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20
     batched, trace = guided_sample(
         ring_model20, sched20, GuidanceConfig(w=0.0), dim=2, chains=chains, seed=seed
     )
-    assert trace.steps == [] and len(trace) == 0
+    assert trace == []
     for c in range(chains):
         rng_z, _ = chain_rngs(seed, c)
         x = rng_z.standard_normal(2)
@@ -241,15 +241,25 @@ def test_naive_guidance_is_normalized_descent(ring_model20, sched20):
 def test_trace_rows_cover_guided_steps(ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
     _, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=2, seed=0, trace=True)
-    assert len(trace) == 2 * len(guided_steps(sched20.T, 5))
-    assert [step[0] for step in trace.steps] == guided_steps(sched20.T, 5)
-    for _, w_t, l2, linf, metric in trace.steps:
-        # l-inf normalised guidance: every chain's vector has max |g_i| = 1
-        assert w_t == 0.5 and np.all(linf == 1.0) and np.all(l2 >= linf)
+    assert [row[0] for row in trace] == guided_steps(sched20.T, 5)
+    for _, w_t, *cells in trace:
+        # mean and five quantiles each of l2, linf and the metric; l-inf
+        # normalised guidance: every chain's vector has max |g_i| = 1
+        l2, linf, metric = np.reshape(cells, (3, 6))
+        assert w_t == 0.5 and np.all(linf == 1.0) and np.all(l2 >= 1.0)
         assert np.all(np.isfinite(metric))
     # the same run untraced keeps nothing
     _, untraced = guided_sample(ring_model20, sched20, cfg, dim=2, chains=2, seed=0)
-    assert untraced.steps == [] and not untraced
+    assert untraced == []
+
+
+@pytest.mark.parametrize("kind", ["self", "naive"])
+def test_tracing_leaves_samples_unchanged(kind, ring_model20, sched20):
+    cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=2, s_fraction=0.6, mc_samples=2, kind=kind)
+    plain, untraced = guided_sample(ring_model20, sched20, cfg, dim=2, chains=5, seed=7)
+    traced, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=5, seed=7, trace=True)
+    assert untraced == [] and len(trace) == len(guided_steps(sched20.T, 2))
+    assert np.array_equal(plain, traced)
 
 
 def test_switch_off_skips_low_timesteps(ring_model20):
@@ -300,10 +310,8 @@ def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20)
             TwoPassModel(model), sched20, cfg, dim=2, chains=5, seed=1, trace=True
         )
         np.testing.assert_array_equal(fast, slow)
-        assert len(fast_trace.steps) == len(slow_trace.steps) == len(guided_steps(sched20.T, 3))
-        for (t, w_t, *fast_cols), (t2, w2, *slow_cols) in zip(fast_trace.steps, slow_trace.steps):
-            assert (t, w_t) == (t2, w2)
-            assert all(np.array_equal(a, b) for a, b in zip(fast_cols, slow_cols))
+        assert len(fast_trace) == len(guided_steps(sched20.T, 3))
+        assert fast_trace == slow_trace
 
 
 @pytest.mark.parametrize("t_bad", [20, 9, 6, 1])
@@ -318,11 +326,8 @@ def test_non_finite_state_raises_with_timestep(t_bad, ring_model20, sched20):
 def test_trace_rows_hold_python_scalars(ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
     _, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=3, seed=0, trace=True)
-    assert trace.chains == 3
-    for t, w_t, *columns in trace.steps:
-        # t and w_t are written as Python scalars, the columns through tolist()
+    assert trace
+    for t, w_t, *cells in trace:
+        # every cell is written with repr, which round-trips a Python float
         assert (type(t), type(w_t)) == (int, float)
-        assert len(columns) == 3
-        for col in columns:
-            assert col.dtype == np.float64 and col.shape == (3,)
-            assert [type(v) for v in col.tolist()] == [float] * 3
+        assert [type(v) for v in cells] == [float] * 18
