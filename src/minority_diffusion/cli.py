@@ -20,15 +20,8 @@ from .errors import (
     NumericDegeneracyError,
     TrainingDivergenceError,
 )
-from .evaluation import (
-    avg_knn_batch,
-    lof_batch,
-    log_density_gmm,
-    reference_set,
-    verify_corollary1,
-    verify_prop1,
-)
-from .harness import RECIPE_BASES, RECIPES, read_samples, run_experiment, to_json
+from .evaluation import verify_corollary1, verify_prop1
+from .harness import RECIPE_BASES, RECIPES, evaluate, read_samples, run_experiment, to_json
 from .models import GmmScoreModel, MlpEpsModel, TrainOptions, train_dsm
 from .schedule import perturb
 
@@ -141,13 +134,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.gmm_spec()
-    samples = read_samples(args.samples, spec.dim)
-    refset, offset = reference_set(cfg, samples)
+    samples = read_samples(args.samples, cfg.gmm_spec().dim)
+    log_density, avg_knn, lof = evaluate(cfg, samples)
     out = {
-        "log_density_mean": float(np.mean(log_density_gmm(samples, spec))),
-        "avg_knn_mean": float(np.mean(avg_knn_batch(samples, refset, cfg.eval_knn_k, offset))),
-        "lof_mean": float(np.mean(lof_batch(samples, refset, cfg.eval_lof_k, offset))),
+        "log_density_mean": float(np.mean(log_density)),
+        "avg_knn_mean": float(np.mean(avg_knn)),
+        "lof_mean": float(np.mean(lof)),
         "reference_mode": cfg.eval_reference,
         "count": int(samples.shape[0]),
     }

@@ -19,7 +19,7 @@ file reproduces the run exactly. Keys:
   guidance.kind             self | naive
   guidance.w                float, finite and >= 0
   guidance.schedule         fixed | switch_off | variance
-  guidance.t_mid            timestep (switch_off only; 0 = unset)
+  guidance.t_mid            integer >= 0, 0 = unset; switch_off needs 1..T
   guidance.interval         intermittent rate n
   guidance.s_fraction       float in (0, 1)
   guidance.sg               none | sg_first | sg_second
@@ -40,13 +40,13 @@ file reproduces the run exactly. Keys:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .gmm import GmmSpec, benchmark
-from .sampler import GuidanceConfig
+from .sampler import GuidanceConfig, guidance_plan
 from .schedule import NoiseSchedule, build_schedule, respace
 
 
@@ -153,33 +153,31 @@ class ExperimentConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            values[_KEY_TO_FIELD[key]] = val
+            values[key] = val
         return cls().with_overrides(values)
 
     def with_overrides(self, values: dict) -> "ExperimentConfig":
-        """Apply string-valued overrides (field name or config key)."""
+        """Apply string-valued overrides, each named by its config key."""
         coerced = {}
-        types = {f.name: f.type for f in fields(self)}
-        for name, val in values.items():
-            if name in _KEY_TO_FIELD:
-                name = _KEY_TO_FIELD[name]
-            if name not in types:
-                raise ConfigError(f"unknown config key {name!r}")
+        for key, val in values.items():
+            if key not in _KEY_TO_FIELD:
+                raise ConfigError(f"unknown config key {key!r}")
+            name = _KEY_TO_FIELD[key]
             current = getattr(self, name)
             if isinstance(current, bool):
                 if str(val).lower() not in ("true", "false"):
-                    raise ConfigError(f"{name} expects true/false, got {val!r}")
+                    raise ConfigError(f"{key} expects true/false, got {val!r}")
                 coerced[name] = str(val).lower() == "true"
             elif isinstance(current, int):
                 try:
                     coerced[name] = int(val)
                 except ValueError as exc:
-                    raise ConfigError(f"{name} expects an integer, got {val!r}") from exc
+                    raise ConfigError(f"{key} expects an integer, got {val!r}") from exc
             elif isinstance(current, float):
                 try:
                     coerced[name] = float(val)
                 except ValueError as exc:
-                    raise ConfigError(f"{name} expects a number, got {val!r}") from exc
+                    raise ConfigError(f"{key} expects a number, got {val!r}") from exc
             else:
                 coerced[name] = str(val)
         cfg = replace(self, **coerced)
@@ -201,13 +199,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown reference mode {self.eval_reference!r}")
         if not (0.0 < self.eval_metric_t_fraction < 1.0):
             raise ConfigError("eval.metric_t_fraction must lie in (0, 1)")
-        for key, least in (("eval.knn_k", 1), ("eval.lof_k", 1), ("eval.metric_mc", 1), ("eval.reference_size", 0)):
+        for key, least in (("eval.knn_k", 1), ("eval.lof_k", 1), ("eval.metric_mc", 1),
+                           ("eval.reference_size", 0), ("guidance.t_mid", 0)):
             value = getattr(self, _KEY_TO_FIELD[key])
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
         self.gmm_spec()
-        self.noise_schedule()
-        self.guidance_config()
+        # the plan evaluates every guided step's weight, so a switch_off
+        # t_mid outside 1..T fails here rather than in the sampler
+        guidance_plan(self.guidance_config(), self.noise_schedule())
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()

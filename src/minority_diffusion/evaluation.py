@@ -1,4 +1,4 @@
-"""Evaluation machinery: exact densities, neighborhood metrics, and the
+"""Evaluation machinery: the reference set, neighborhood metrics, and the
 numeric verifiers for the metric/ELBO identity.
 """
 
@@ -8,18 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gmm
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
-from .gmm import GmmSpec
 from .minority import round_trip, tweedie
 from .models import ScoreModel
 from .schedule import NoiseSchedule, perturb
-
-
-def log_density_gmm(x, spec: GmmSpec, t=None, sched: NoiseSchedule | None = None):
-    """Exact mixture log-density; perturbed to timestep t when given."""
-    return gmm.log_density(x, spec, t, sched)
 
 
 def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
@@ -33,28 +26,21 @@ def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
     neighbours of each sample, or for eval.lof_k neighbours of each of its
     own points (LOF scans the set against itself), raises ConfigError.
     """
+    check_reference_room(cfg, len(samples))
     if cfg.eval_reference == "generated":
-        refset, offset = samples, 0
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
-        real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
-        pooled = cfg.eval_reference == "pooled"
-        refset, offset = (np.concatenate([samples, real]), 0) if pooled else (real, None)
-    check_reference_room(cfg, len(refset))
-    return refset, offset
+        return samples, 0
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
+    real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
+    return (np.concatenate([samples, real]), 0) if cfg.eval_reference == "pooled" else (real, None)
 
 
-def reference_rows(cfg: ExperimentConfig) -> int:
-    """Size of the eval.reference set for run.chains samples: eval.reference_size
-    real points, the samples themselves, or both."""
-    real, chains = cfg.eval_reference_size, cfg.run_chains
-    return {"real": real, "generated": chains, "pooled": chains + real}[cfg.eval_reference]
-
-
-def check_reference_room(cfg: ExperimentConfig, n: int) -> None:
-    """Raise ConfigError unless an n-point eval.reference set offers
-    eval.knn_k neighbours to each sample, which excludes itself from a set
-    that holds the samples, and eval.lof_k to each point of the set."""
+def check_reference_room(cfg: ExperimentConfig, chains: int) -> None:
+    """Raise ConfigError unless the eval.reference set of `chains` samples
+    (eval.reference_size real points, the samples themselves, or both)
+    offers eval.knn_k neighbours to each sample, which excludes itself from
+    a set that holds the samples, and eval.lof_k to each point of the set."""
+    real = cfg.eval_reference_size
+    n = {"real": real, "generated": chains, "pooled": chains + real}[cfg.eval_reference]
     own = cfg.eval_reference != "real"
     for key, k, room in (("eval.knn_k", cfg.eval_knn_k, n - own), ("eval.lof_k", cfg.eval_lof_k, n - 1)):
         if k > room:
@@ -169,23 +155,10 @@ class IdentityReport:
     max_pointwise_rel_gap: float
     mc_samples: int
 
-    @property
-    def total_lhs(self) -> float:
-        return float(np.sum(self.lhs))
-
-    @property
-    def total_rhs(self) -> float:
-        return float(np.sum(self.rhs))
-
-    @property
-    def total_gap(self) -> float:
-        return self.total_lhs - self.total_rhs
-
     def summary(self) -> dict:
+        lhs, rhs = float(np.sum(self.lhs)), float(np.sum(self.rhs))
         return {
-            "total_lhs": self.total_lhs,
-            "total_rhs": self.total_rhs,
-            "total_gap": self.total_gap,
+            **{f"total_{side}": v for side, v in (("lhs", lhs), ("rhs", rhs), ("gap", lhs - rhs))},
             "max_pointwise_rel_gap": self.max_pointwise_rel_gap,
             "mc_samples": self.mc_samples,
         }

@@ -26,10 +26,12 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint
 from .config import ExperimentConfig
 from .errors import CheckpointError, ConfigError
-from .evaluation import avg_knn_batch, check_reference_room, lof_batch, log_density_gmm, reference_rows, reference_set
+from .evaluation import avg_knn_batch, check_reference_room, lof_batch, reference_set
+# the benchmark's tracer wraps this module's log_density_gmm, so the name stays
+from .gmm import log_density as log_density_gmm
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel
-from .sampler import TRACE_HEADER, guided_sample, guided_steps, resolve_s, weight
+from .sampler import TRACE_HEADER, guidance_plan, guided_sample
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -111,15 +113,11 @@ def to_json(obj) -> str:
 
 
 def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
-    """(forward, backward) model invocations for one batched sampler run.
-
-    Guidance runs only at the steps t % n == 0 whose schedule weight is
-    nonzero (switch_off skips every t < t_mid).
-    """
+    """(forward, backward) model invocations for one batched sampler run:
+    T forwards for the chain, plus those of each step of the guidance plan."""
     sched = cfg.noise_schedule()
     gcfg = cfg.guidance_config()
-    steps = guided_steps(sched.T, gcfg.n) if gcfg.w > 0 else []
-    n_guided = sum(1 for t in steps if weight(t, gcfg, sched) != 0.0)
+    n_guided = len(guidance_plan(gcfg, sched))
     if gcfg.kind == "naive":
         return sched.T + n_guided, 0
     fwd = sched.T + n_guided * (1 + gcfg.mc_samples)
@@ -130,7 +128,7 @@ def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Sample, evaluate, and (optionally) persist one experiment."""
     cfg.validate()
-    check_reference_room(cfg, reference_rows(cfg))
+    check_reference_room(cfg, cfg.run_chains)
     start = time.perf_counter()
     spec = cfg.gmm_spec()
     sched = cfg.noise_schedule()
@@ -163,17 +161,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     forward_calls = model.forward_calls
     backward_calls = model.backward_calls
 
-    log_density = log_density_gmm(samples, spec)
-
     eval_rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     noised = perturb(samples, t_metric, eval_rng.standard_normal(samples.shape), sched)
     eps = eval_rng.standard_normal((cfg.eval_metric_mc,) + samples.shape)
-    metric = inference_metric(noised, t_metric, resolve_s(gcfg, sched), model, sched, eps)
-
-    refset, offset = reference_set(cfg, samples)
-    knn_vals = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)
-    lof_vals = lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset)
+    metric = inference_metric(noised, t_metric, sched.step_at(gcfg.s_fraction), model, sched, eps)
+    log_density, knn_vals, lof_vals = evaluate(cfg, samples)
 
     report = RunReport(
         config=cfg,
@@ -191,6 +184,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     if out_dir is not None:
         write_report(report, out_dir)
     return report
+
+
+def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
+    """(log_density, avg_knn, lof) of each sample, against the eval.reference
+    set; `sample` and `eval` both evaluate through here."""
+    refset, offset = reference_set(cfg, samples)
+    return (
+        log_density_gmm(samples, cfg.gmm_spec()),
+        avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset),
+        lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset),
+    )
 
 
 def write_report(report: RunReport, out_dir: str) -> None:
@@ -216,7 +220,8 @@ def write_report(report: RunReport, out_dir: str) -> None:
 
 # ---- named recipes --------------------------------------------------------
 
-# Each recipe's base config; a config passed to a recipe replaces it.
+# Each recipe's base config (RECIPE_BASES), which the cli passes to the
+# recipe unless --config replaces it.
 # Desk-scale settings where the guidance effect is dominated by minority-mode
 # selection rather than off-support drift: a linear schedule contracts early
 # displacements away, the guidance window covers only the basin-commitment
@@ -239,9 +244,8 @@ _TABLE3A_CONFIG = ExperimentConfig(
 )
 
 
-def recipe_table3a_analog(out_dir: str, cfg: ExperimentConfig | None = None) -> dict:
+def recipe_table3a_analog(out_dir: str, base: ExperimentConfig) -> dict:
     """Sweep the guidance scale and report the density/AvgkNN trend."""
-    base = _TABLE3A_CONFIG if cfg is None else cfg
     sweep = [0.0, 4.0, 8.0]
     results = []
     for w in sweep:
@@ -265,9 +269,8 @@ def recipe_table3a_analog(out_dir: str, cfg: ExperimentConfig | None = None) -> 
     return summary
 
 
-def recipe_sg_ablation(out_dir: str, cfg: ExperimentConfig | None = None) -> dict:
+def recipe_sg_ablation(out_dir: str, base: ExperimentConfig) -> dict:
     """Density shift per stop-gradient mode against the unguided baseline."""
-    base = _CALIBRATED_SHIFT_CONFIG if cfg is None else cfg
     baseline = run_experiment(
         base.with_overrides({"guidance.w": "0.0"}), os.path.join(out_dir, "baseline")
     )
@@ -283,11 +286,10 @@ def recipe_sg_ablation(out_dir: str, cfg: ExperimentConfig | None = None) -> dic
     return summary
 
 
-def recipe_naive_contrast(out_dir: str, cfg: ExperimentConfig | None = None) -> dict:
+def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
     """Off-support fraction of the proposed guidance vs. the naive
     log-density descent, with the naive scale calibrated to match the
     proposed sampler's mean density shift."""
-    base = _CALIBRATED_SHIFT_CONFIG if cfg is None else cfg
     spec = base.gmm_spec()
     data_rng = np.random.default_rng(np.random.SeedSequence([base.run_seed, 7]))
     data = spec.sample(200_000, data_rng)

@@ -65,20 +65,15 @@ def chain_rngs(seed: int, chain: int):
     return rng_z, rng_g
 
 
-def resolve_s(cfg: GuidanceConfig, sched: NoiseSchedule) -> int:
-    """Perturbation timestep: s_fraction * T rounded to the nearest valid step."""
-    return sched.step_at(cfg.s_fraction)
-
-
 def weight(t: int, cfg: GuidanceConfig, sched: NoiseSchedule) -> float:
     """Guidance strength w_t under the configured time schedule."""
     if cfg.schedule_mode == "fixed":
         return cfg.w
     if cfg.schedule_mode == "switch_off":
         if cfg.t_mid is None or not (1 <= cfg.t_mid <= sched.T):
-            raise ConfigError("switch_off schedule requires t_mid in 1..T")
+            raise ConfigError(f"switch_off needs guidance.t_mid in 1..T = 1..{sched.T}, got {cfg.t_mid}")
         return cfg.w if t >= cfg.t_mid else 0.0
-    return cfg.w * float(sched.rvar(t))
+    return cfg.w * float(sched.beta(t))
 
 
 def _normalize_linf(g: np.ndarray) -> np.ndarray:
@@ -106,7 +101,7 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sc
     if np.shape(eps)[:1] != (cfg.mc_samples,):
         raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
     x0_hat, pull_t = linearize_tweedie(x_t, t, model, sched)
-    draws, cot = round_trip(x0_hat, resolve_s(cfg, sched), model, sched, eps, cfg.sg_mode)
+    draws, cot = round_trip(x0_hat, sched.step_at(cfg.s_fraction), model, sched, eps, cfg.sg_mode)
     g = pull_t(cot)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
@@ -136,12 +131,30 @@ def reverse_step(x: np.ndarray, t: int, model: ScoreModel, sched: NoiseSchedule,
         raise ValueError(f"cannot step below t = 1 (got t = {t})")
     beta = float(sched.beta(t))
     mu = (x + beta * model.score(x, t)) / np.sqrt(1.0 - beta)
-    return mu if t == 1 else mu + np.sqrt(float(sched.rvar(t))) * z
+    return mu if t == 1 else mu + np.sqrt(beta) * z
 
 
 def guided_steps(T: int, n: int) -> list[int]:
     """Timesteps (descending) at which intermittent guidance fires."""
     return [t for t in range(T, 0, -1) if t % n == 0]
+
+
+def guidance_plan(cfg: GuidanceConfig, sched: NoiseSchedule) -> dict[int, tuple[int, float]]:
+    """{t: (j, w_t)} for every step at which guidance runs: t % n == 0 and
+    w_t != 0, in sampling order; empty when w = 0.
+
+    j is t's row in the guidance-noise tape, which keeps one row per
+    guided_steps entry, so a zero-weight step keeps its row and the draws
+    of the other steps do not move.
+    """
+    if cfg.w == 0.0:
+        return {}
+    plan = {}
+    for j, t in enumerate(guided_steps(sched.T, cfg.n)):
+        w_t = weight(t, cfg, sched)
+        if w_t != 0.0:
+            plan[t] = (j, w_t)
+    return plan
 
 
 # chain quantiles of each traced quantity, next to its mean; the header
@@ -167,7 +180,7 @@ def guided_sample(
     All chains are advanced together (the per-chain noise tapes are drawn
     up front from per-chain streams, so the batched loop matches chain-by-chain
     execution exactly). Guidance is evaluated at the pre-transition latent
-    whenever t % n == 0 and the schedule weight is nonzero; with w = 0 the
+    at the steps of guidance_plan; with w = 0 the plan is empty and the
     guidance machinery is never touched. A chain state that turns
     non-finite raises NumericDegeneracyError naming the timestep.
 
@@ -180,37 +193,31 @@ def guided_sample(
     if chains < 1:
         raise ConfigError("need at least one chain")
     T = sched.T
-    g_steps = guided_steps(T, cfg.n)
-    active = cfg.w > 0.0 and len(g_steps) > 0
+    plan = guidance_plan(cfg, sched)
     noise = np.empty((chains, T, dim))
     eps_tape = None
-    if active and cfg.kind == "self":
-        eps_tape = np.empty((chains, len(g_steps), cfg.mc_samples, dim))
+    if plan and cfg.kind == "self":
+        eps_tape = np.empty((chains, T // cfg.n, cfg.mc_samples, dim))  # a row per guided_steps entry
     for c in range(chains):
         rng_z, rng_g = chain_rngs(seed, c)
         noise[c] = rng_z.standard_normal((T, dim))
         if eps_tape is not None:
-            eps_tape[c] = rng_g.standard_normal((len(g_steps), cfg.mc_samples, dim))
+            eps_tape[c] = rng_g.standard_normal(eps_tape.shape[1:])
 
     x = noise[:, 0, :].copy()
     recorded = []
     for t in range(T, 0, -1):
-        g_vec = None
-        w_t = 0.0
-        if active and t % cfg.n == 0:
-            w_t = weight(t, cfg, sched)
-            if w_t != 0.0:
-                if cfg.kind == "self":
-                    # g_steps runs down from the largest multiple of n <= T
-                    eps = np.moveaxis(eps_tape[:, T // cfg.n - t // cfg.n], 1, 0)  # (m, chains, dim)
-                    g_vec, metric = guidance(x, t, cfg, model, sched, eps=eps)
-                else:
-                    g_vec = naive_density_guidance(
-                        x, t, model, sched, normalize_linf=cfg.normalize_linf
-                    )
-                    metric = np.full(chains, np.nan)
+        step = plan.get(t)
+        if step is not None:
+            j, w_t = step
+            if cfg.kind == "self":
+                eps = np.moveaxis(eps_tape[:, j], 1, 0)  # (m, chains, dim)
+                g_vec, metric = guidance(x, t, cfg, model, sched, eps=eps)
+            else:
+                g_vec = naive_density_guidance(x, t, model, sched, normalize_linf=cfg.normalize_linf)
+                metric = np.full(chains, np.nan)
         x = reverse_step(x, t, model, sched, noise[:, T - t + 1] if t > 1 else None)
-        if g_vec is not None:
+        if step is not None:
             x = x + w_t * g_vec
             if trace:
                 cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])

@@ -53,10 +53,6 @@ class NoiseSchedule:
         self._check_t(t)
         return self.alpha_cum[np.asarray(t) - 1]
 
-    def rvar(self, t):
-        """Reverse-process variance at t (fixed choice beta_t)."""
-        return self.beta(t)
-
     def step_at(self, fraction: float) -> int:
         """The timestep nearest fraction * T, clamped to 1..T."""
         return int(min(max(round(fraction * self.T), 1), self.T))

@@ -16,13 +16,9 @@ import numpy as np
 import scipy.stats
 
 from minority_diffusion.config import ExperimentConfig
-from minority_diffusion.evaluation import (
-    avg_knn_batch,
-    lof_batch,
-    log_density_gmm,
-    verify_prop1,
-)
+from minority_diffusion.evaluation import avg_knn_batch, lof_batch, verify_prop1
 from minority_diffusion.gmm import GmmSpec, benchmark
+from minority_diffusion.gmm import log_density as log_density_gmm
 from minority_diffusion.harness import RECIPES, run_experiment
 from minority_diffusion.minority import minority_score, tweedie
 from minority_diffusion.models import CallCountingModel, GmmScoreModel, MlpEpsModel
@@ -31,7 +27,6 @@ from minority_diffusion.sampler import (
     guidance,
     guided_sample,
     guided_steps,
-    resolve_s,
 )
 from minority_diffusion.schedule import build_schedule, perturb
 
@@ -226,7 +221,7 @@ def test_criterion_06_stop_gradient_decomposition(capsys):
 
 def sg_objective(x, t, cfg, model, sched, eps, center):
     """Metric value with the stop-gradient branch frozen at the center point."""
-    s = resolve_s(cfg, sched)
+    s = sched.step_at(cfg.s_fraction)
     a_s = float(sched.alpha_bar(s))
     c_s = np.sqrt(1.0 - a_s)
     x0_c = tweedie(center, t, model, sched)

@@ -15,11 +15,11 @@ from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoin
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
-from minority_diffusion.evaluation import reference_rows, reference_set
+from minority_diffusion.evaluation import check_reference_room, reference_set
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
-from minority_diffusion.sampler import guided_steps, resolve_s, weight
+from minority_diffusion.sampler import guided_steps, weight
 from minority_diffusion.schedule import build_schedule, perturb
 
 SMALL = {
@@ -62,6 +62,9 @@ def test_config_rejects_unknown_key_and_bad_values():
         ExperimentConfig().with_overrides({"benchmark": "imagenet"})
     with pytest.raises(ConfigError):
         ExperimentConfig().with_overrides({"guidance.sg": "sg_third"})
+    # a field name is not a config key
+    with pytest.raises(ConfigError, match="unknown config key 'guidance_w'"):
+        ExperimentConfig().with_overrides({"guidance_w": "0.3"})
 
 
 def test_config_guidance_distance_key_still_parses(tmp_path, capsys):
@@ -396,6 +399,7 @@ def test_trace_size_does_not_grow_with_chains(tmp_path):
         {"guidance.mc_samples": "2"},
         {"guidance.kind": "naive"},
         {"guidance.schedule": "switch_off", "guidance.t_mid": "10"},
+        {"guidance.schedule": "switch_off", "guidance.w": "0.0"},
     ],
 )
 def test_call_count_formula(overrides):
@@ -419,8 +423,12 @@ def test_reference_modes(tmp_path):
         report = run_experiment(cfg)
         assert report.avg_knn.shape == (16,)
         assert np.all(np.isfinite(report.lof))
-        # the size checked before sampling is the size of the set built after
-        assert reference_rows(cfg) == len(reference_set(cfg, report.samples)[0])
+        # the size checked before sampling is the size of the set built after:
+        # LOF fits one neighbour fewer than the set holds, and no more
+        n = len(reference_set(cfg, report.samples)[0])
+        check_reference_room(cfg.with_overrides({"eval.lof_k": str(n - 1)}), cfg.run_chains)
+        with pytest.raises(ConfigError, match="eval.lof_k"):
+            check_reference_room(cfg.with_overrides({"eval.lof_k": str(n)}), cfg.run_chains)
 
 
 @pytest.mark.parametrize("mc", [1, 3])
@@ -434,7 +442,7 @@ def test_per_sample_metric_noise_stream(mc):
     z = rng.standard_normal(report.samples.shape)
     eps = rng.standard_normal((mc,) + report.samples.shape)
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
-    s = resolve_s(cfg.guidance_config(), sched)
+    s = sched.step_at(cfg.guidance_s_fraction)
     noised = perturb(report.samples, t_metric, z, sched)
     want = inference_metric(noised, t_metric, s, GmmScoreModel(spec, sched), sched, eps)
     assert np.array_equal(report.metric, want)
@@ -622,6 +630,11 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
         ("sample", ["schedule.cosine_offset=-0.5"], "schedule.cosine_offset"),
         ("sample", ["schedule.cosine_offset=nan"], "schedule.cosine_offset"),
         ("sample", ["schedule.cosine_offset=1e300"], "schedule.cosine_offset"),
+        ("sample", ["guidance.schedule=switch_off"], "guidance.t_mid"),
+        ("sample", ["guidance.schedule=switch_off", "guidance.t_mid=400"], "guidance.t_mid"),
+        ("sample", ["guidance.t_mid=-3"], "guidance.t_mid"),
+        ("sample", ["guidance_w=0.3"], "guidance_w"),
+        ("sample", ["guidance.w=abc"], "guidance.w"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

@@ -9,6 +9,7 @@ chain-by-chain ancestral loop driven by the same per-chain streams.
 import numpy as np
 import pytest
 
+from minority_diffusion import sampler
 from minority_diffusion.errors import ConfigError, NumericDegeneracyError
 from minority_diffusion.minority import inference_metric, round_trip, tweedie
 from minority_diffusion.models import CallCountingModel, ScoreModel
@@ -17,10 +18,10 @@ from minority_diffusion.sampler import (
     _normalize_linf,
     chain_rngs,
     guidance,
+    guidance_plan,
     guided_sample,
     guided_steps,
     naive_density_guidance,
-    resolve_s,
     reverse_step,
     weight,
 )
@@ -29,7 +30,7 @@ from minority_diffusion.schedule import build_schedule
 
 def sg_objective(x, t, cfg, model, sched, eps, center):
     """Metric value with the stop-gradient branch frozen at the center point."""
-    s = resolve_s(cfg, sched)
+    s = sched.step_at(cfg.s_fraction)
     a_s = float(sched.alpha_bar(s))
     c_s = np.sqrt(1.0 - a_s)
     x0_c = tweedie(center, t, model, sched)
@@ -105,7 +106,7 @@ def test_guidance_metric_is_inference_metric(sg, m, model_name, ring_model20, ml
     eps = rng.normal(size=(m, 5, 2))
     cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=m)
     _, metric = guidance(x, 12, cfg, model, sched20, eps=eps)
-    want = inference_metric(x, 12, resolve_s(cfg, sched20), model, sched20, eps=eps)
+    want = inference_metric(x, 12, sched20.step_at(cfg.s_fraction), model, sched20, eps=eps)
     assert np.array_equal(metric, want)
 
 
@@ -130,21 +131,58 @@ def test_weight_schedules(sched20):
     assert weight(10, sw, sched20) == 2.0
     assert weight(9, sw, sched20) == 0.0
     var = GuidanceConfig(w=2.0, schedule_mode="variance")
-    assert weight(7, var, sched20) == pytest.approx(2.0 * float(sched20.rvar(7)))
-    with pytest.raises(ConfigError):
+    assert weight(7, var, sched20) == pytest.approx(2.0 * float(sched20.beta(7)))
+    with pytest.raises(ConfigError, match=r"guidance.t_mid in 1..T = 1..20"):
         weight(5, GuidanceConfig(w=1.0, schedule_mode="switch_off"), sched20)
 
 
 def test_resolve_s_rounds_and_clamps(sched20):
-    assert resolve_s(GuidanceConfig(s_fraction=0.8), sched20) == 16
-    assert resolve_s(GuidanceConfig(s_fraction=0.012), sched20) == 1
-    assert resolve_s(GuidanceConfig(s_fraction=0.99), sched20) == 20
+    # the perturbation timestep s = step_at(s_fraction)
+    assert sched20.step_at(0.8) == 16
+    assert sched20.step_at(0.012) == 1
+    assert sched20.step_at(0.99) == 20
 
 
 def test_guided_steps_counts():
     assert len(guided_steps(250, 5)) == 50
     assert len(guided_steps(250, 1)) == 250
     assert guided_steps(10, 4) == [8, 4]
+
+
+def test_guidance_plan(sched20):
+    # the guided steps of nonzero weight, each with its tape row
+    sw = GuidanceConfig(w=2.0, schedule_mode="switch_off", t_mid=10, n=3)
+    assert guidance_plan(sw, sched20) == {18: (0, 2.0), 15: (1, 2.0), 12: (2, 2.0)}
+    var = GuidanceConfig(w=2.0, n=7)
+    assert guidance_plan(var, sched20) == {14: (0, weight(14, var, sched20)), 7: (1, weight(7, var, sched20))}
+    # w = 0 is unguided: the plan is empty, and switch_off needs no t_mid
+    assert guidance_plan(GuidanceConfig(w=0.0, schedule_mode="switch_off"), sched20) == {}
+
+
+@pytest.mark.parametrize(
+    "n, m, mode",
+    [(1, 1, "fixed"), (3, 1, "variance"), (1, 2, "variance"), (3, 2, "switch_off"), (1, 1, "switch_off")],
+)
+def test_guidance_noise_rows_follow_the_tape(monkeypatch, ring_model20, sched20, n, m, mode):
+    # guided step t reads row T // n - t // n of each chain's guidance-noise
+    # tape, drawn as one (T // n, m, D) block from the chain's second stream;
+    # under switch_off the zero-weight steps still own their rows
+    seen = {}
+    real = sampler.guidance
+
+    def spy(x, t, cfg, model, sched, eps):
+        seen[t] = eps.copy()
+        return real(x, t, cfg, model, sched, eps=eps)
+
+    monkeypatch.setattr(sampler, "guidance", spy)
+    cfg = GuidanceConfig(w=0.5, schedule_mode=mode, t_mid=8, n=n, s_fraction=0.6, mc_samples=m)
+    T, chains, seed = sched20.T, 3, 5
+    guided_sample(ring_model20, sched20, cfg, dim=2, chains=chains, seed=seed)
+    assert sorted(seen, reverse=True) == [t for t in guided_steps(T, n) if weight(t, cfg, sched20) != 0.0]
+    for c in range(chains):
+        tape = chain_rngs(seed, c)[1].standard_normal((T // n, m, 2))
+        for t, eps in seen.items():
+            assert np.array_equal(eps[:, c], tape[T // n - t // n])
 
 
 def test_normalize_linf():

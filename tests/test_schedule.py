@@ -81,11 +81,6 @@ def test_one_indexing_and_range_checks(sched20):
             sched20.alpha_bar(bad)
 
 
-def test_reverse_variance_is_beta(sched20):
-    for t in range(1, sched20.T + 1):
-        assert sched20.rvar(t) == sched20.beta(t)
-
-
 @given(
     x0=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
     eps=st.lists(st.floats(-5, 5), min_size=3, max_size=3),
