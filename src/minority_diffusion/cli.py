@@ -21,8 +21,8 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evaluation import verify_corollary1, verify_prop1
-from .harness import RECIPE_BASES, RECIPES, evaluate, read_samples, run_experiment, to_json
-from .models import GmmScoreModel, MlpEpsModel, TrainOptions, train_dsm
+from .harness import RECIPE_BASES, RECIPES, evaluate, read_samples, run_experiment, score_model, to_json
+from .models import MlpEpsModel, TrainOptions, train_dsm
 from .schedule import perturb
 
 EXIT_CONFIG = 2
@@ -149,19 +149,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.gmm_spec()
-    sched = cfg.noise_schedule()
-    model = GmmScoreModel(spec, sched)
+    model = score_model(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 13]))
-    x0 = spec.sample(1, rng)[0]
+    x0 = cfg.gmm_spec().sample(1, rng)[0]
     if args.mode == "prop1":
-        report = verify_prop1(x0, model, sched, rng, m=args.mc)
+        report = verify_prop1(x0, model, rng, m=args.mc)
     else:
-        t = max(sched.T // 2, 1)
-        x_t = perturb(x0, t, rng.standard_normal(x0.shape), sched)
-        report = verify_corollary1(x_t, t, model, sched, rng, m=args.mc)
-    out = {"mode": args.mode, **report.summary()}
-    _emit(out, args.out)
+        t = max(model.sched.T // 2, 1)
+        x_t = perturb(x0, t, rng.standard_normal(x0.shape), model.sched)
+        report = verify_corollary1(x_t, t, model, rng, m=args.mc)
+    _emit({"mode": args.mode, **report}, args.out)
     return 0
 
 

@@ -19,8 +19,9 @@ file reproduces the run exactly. Keys:
   guidance.kind             self | naive
   guidance.w                float, finite and >= 0
   guidance.schedule         fixed | switch_off | variance
-  guidance.t_mid            integer >= 0, 0 = unset; switch_off needs 1..T
-  guidance.interval         intermittent rate n
+  guidance.t_mid            integer in 0..T, 0 = unset; switch_off needs 1..T
+  guidance.interval         intermittent rate n; with guidance.w > 0, at
+                            least one guided step must have a nonzero weight
   guidance.s_fraction       float in (0, 1)
   guidance.sg               none | sg_first | sg_second
   guidance.distance         squared_error
@@ -205,9 +206,17 @@ class ExperimentConfig:
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
         self.gmm_spec()
+        sched = self.noise_schedule()
+        if self.guidance_t_mid > sched.T:
+            raise ConfigError(f"guidance.t_mid = {self.guidance_t_mid} exceeds T = {sched.T}")
         # the plan evaluates every guided step's weight, so a switch_off
-        # t_mid outside 1..T fails here rather than in the sampler
-        guidance_plan(self.guidance_config(), self.noise_schedule())
+        # t_mid of 0 fails here rather than in the sampler
+        if not guidance_plan(self.guidance_config(), sched) and self.guidance_w > 0:
+            raise ConfigError(
+                f"guidance.w = {self.guidance_w} > 0, but guidance.interval = {self.guidance_interval} "
+                f"and guidance.t_mid = {self.guidance_t_mid} leave no step in 1..T = 1..{sched.T} "
+                "with a nonzero guidance weight"
+            )
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()

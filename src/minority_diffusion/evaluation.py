@@ -4,15 +4,13 @@ numeric verifiers for the metric/ELBO identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
 from .minority import round_trip, tweedie
 from .models import ScoreModel
-from .schedule import NoiseSchedule, perturb
+from .schedule import perturb
 
 
 def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
@@ -144,67 +142,42 @@ def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.nda
         return np.where(np.isinf(lrd_q), 1.0, ref_lrd[q_idx].mean(axis=1) / lrd_q)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Per-timestep comparison of the weighted reconstruction loss against the
-    noise-matching objective, with shared noise draws on both sides."""
-
-    timesteps: np.ndarray
-    lhs: np.ndarray  # weighted metric, per t (MC mean)
-    rhs: np.ndarray  # noise-prediction error, per t (MC mean)
-    max_pointwise_rel_gap: float
-    mc_samples: int
-
-    def summary(self) -> dict:
-        lhs, rhs = float(np.sum(self.lhs)), float(np.sum(self.rhs))
-        return {
-            **{f"total_{side}": v for side, v in (("lhs", lhs), ("rhs", rhs), ("gap", lhs - rhs))},
-            "max_pointwise_rel_gap": self.max_pointwise_rel_gap,
-            "mc_samples": self.mc_samples,
-        }
-
-
-def verify_prop1(
-    x0: np.ndarray,
-    model: ScoreModel,
-    sched: NoiseSchedule,
-    rng: np.random.Generator,
-    m: int = 1,
-) -> IdentityReport:
+def verify_prop1(x0: np.ndarray, model: ScoreModel, rng: np.random.Generator, m: int = 1) -> dict:
     """Check sum_t abar/(1-abar) * ||x0 - x0_hat||^2 == sum_t ||eps - eps_theta||^2.
 
     Both sides share the same noise draws per (t, draw), so the equality is
-    pointwise, not just in expectation. Summed over the full timestep grid.
+    pointwise, not just in expectation. Returns the sums over the full
+    timestep grid of the per-t means of both sides (total_lhs, total_rhs)
+    and their difference (total_gap), the largest relative gap of any one
+    draw (max_pointwise_rel_gap) and m (mc_samples).
     """
     if m < 1:
         raise ConfigError("mc samples must be >= 1")
     x0 = np.asarray(x0, float)
-    ts = np.arange(1, sched.T + 1)
+    sched = model.sched
     lhs = np.empty(sched.T)
     rhs = np.empty(sched.T)
     worst = 0.0
-    for t in ts:
+    for t in range(1, sched.T + 1):
         ab = float(sched.alpha_bar(t))
         eps = rng.standard_normal((m,) + x0.shape)
-        l_draws = ab / (1.0 - ab) * round_trip(x0, t, model, sched, eps)[0]
+        l_draws = ab / (1.0 - ab) * round_trip(x0, t, model, eps)[0]
         e_resid = eps - model.eps(perturb(x0, t, eps, sched), t)
         r_draws = np.sum(e_resid * e_resid, axis=-1)
         gaps = np.abs(l_draws - r_draws) / np.maximum(np.abs(r_draws), 1e-300)
         worst = max(worst, float(gaps.max()))
         lhs[t - 1] = l_draws.mean()
         rhs[t - 1] = r_draws.mean()
-    return IdentityReport(
-        timesteps=ts, lhs=lhs, rhs=rhs, max_pointwise_rel_gap=worst, mc_samples=m
-    )
+    total_lhs, total_rhs = float(np.sum(lhs)), float(np.sum(rhs))
+    return {
+        "total_lhs": total_lhs,
+        "total_rhs": total_rhs,
+        "total_gap": total_lhs - total_rhs,
+        "max_pointwise_rel_gap": worst,
+        "mc_samples": m,
+    }
 
 
-def verify_corollary1(
-    x_t: np.ndarray,
-    t: int,
-    model: ScoreModel,
-    sched: NoiseSchedule,
-    rng: np.random.Generator,
-    m: int = 1,
-) -> IdentityReport:
+def verify_corollary1(x_t: np.ndarray, t: int, model: ScoreModel, rng: np.random.Generator, m: int = 1) -> dict:
     """Same identity with the Tweedie surrogate of a noisy latent as the clean point."""
-    return verify_prop1(tweedie(x_t, t, model, sched), model, sched, rng, m=m)
+    return verify_prop1(tweedie(x_t, t, model), model, rng, m=m)

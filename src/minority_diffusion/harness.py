@@ -30,7 +30,7 @@ from .evaluation import avg_knn_batch, check_reference_room, lof_batch, referenc
 # the benchmark's tracer wraps this module's log_density_gmm, so the name stays
 from .gmm import log_density as log_density_gmm
 from .minority import inference_metric
-from .models import CallCountingModel, GmmScoreModel
+from .models import CallCountingModel, GmmScoreModel, ScoreModel
 from .sampler import TRACE_HEADER, guidance_plan, guided_sample
 from .schedule import perturb
 
@@ -71,7 +71,6 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class RunReport:
     config: ExperimentConfig
-    fingerprint: str
     samples: np.ndarray  # (chains, dim)
     log_density: np.ndarray
     metric: np.ndarray
@@ -86,7 +85,7 @@ class RunReport:
         ld = self.log_density
         return {
             "schema_version": SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
+            "fingerprint": self.config.fingerprint(),
             "seed": self.config.run_seed,
             "chains": int(self.samples.shape[0]),
             "log_density_mean": float(ld.mean()),
@@ -125,32 +124,38 @@ def expected_call_counts(cfg: ExperimentConfig) -> tuple[int, int]:
     return fwd, bwd
 
 
+def score_model(cfg: ExperimentConfig) -> ScoreModel:
+    """The model.kind score model of cfg, on cfg's noise schedule: the exact
+    mixture score, or the model.checkpoint MLP, which must model data of
+    the benchmark's dimension."""
+    spec = cfg.gmm_spec()
+    sched = cfg.noise_schedule()
+    if cfg.model_kind != "mlp":
+        return GmmScoreModel(spec, sched)
+    if not cfg.model_checkpoint:
+        raise ConfigError("model.kind = mlp requires model.checkpoint")
+    model = load_checkpoint(cfg.model_checkpoint, sched)
+    if model.dim != spec.dim:
+        raise CheckpointError(
+            f"checkpoint {cfg.model_checkpoint} models {model.dim}-D data, "
+            f"but benchmark {cfg.benchmark} is {spec.dim}-D"
+        )
+    return model
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Sample, evaluate, and (optionally) persist one experiment."""
     cfg.validate()
     check_reference_room(cfg, cfg.run_chains)
     start = time.perf_counter()
-    spec = cfg.gmm_spec()
-    sched = cfg.noise_schedule()
+    model = CallCountingModel(score_model(cfg))
+    sched = model.sched
     gcfg = cfg.guidance_config()
-    if cfg.model_kind == "mlp":
-        if not cfg.model_checkpoint:
-            raise ConfigError("model.kind = mlp requires model.checkpoint")
-        base_model = load_checkpoint(cfg.model_checkpoint, sched)
-        if base_model.dim != spec.dim:
-            raise CheckpointError(
-                f"checkpoint {cfg.model_checkpoint} models {base_model.dim}-D data, "
-                f"but benchmark {cfg.benchmark} is {spec.dim}-D"
-            )
-    else:
-        base_model = GmmScoreModel(spec, sched)
-    model = CallCountingModel(base_model)
 
     samples, trace_rows = guided_sample(
         model,
-        sched,
         gcfg,
-        dim=spec.dim,
+        dim=cfg.gmm_spec().dim,
         chains=cfg.run_chains,
         seed=cfg.run_seed,
         trace=cfg.run_trace,
@@ -165,12 +170,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     noised = perturb(samples, t_metric, eval_rng.standard_normal(samples.shape), sched)
     eps = eval_rng.standard_normal((cfg.eval_metric_mc,) + samples.shape)
-    metric = inference_metric(noised, t_metric, sched.step_at(gcfg.s_fraction), model, sched, eps)
+    metric = inference_metric(noised, t_metric, sched.step_at(gcfg.s_fraction), model, eps)
     log_density, knn_vals, lof_vals = evaluate(cfg, samples)
 
     report = RunReport(
         config=cfg,
-        fingerprint=cfg.fingerprint(),
         samples=samples,
         log_density=np.atleast_1d(log_density),
         metric=np.atleast_1d(metric),

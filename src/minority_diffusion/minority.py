@@ -15,16 +15,16 @@ import numpy as np
 
 from .errors import NumericDegeneracyError
 from .models import ScoreModel, eps_to_score
-from .schedule import NoiseSchedule, perturb
+from .schedule import perturb
 
 _ALPHA_BAR_FLOOR = 1e-12
 
 
-def linearize_tweedie(x_t: np.ndarray, t, model: ScoreModel, sched: NoiseSchedule):
+def linearize_tweedie(x_t: np.ndarray, t, model: ScoreModel):
     """(x0_hat, vjp): the posterior mean x0_hat = (x_t + (1 - abar_t)
     score(x_t, t)) / sqrt(abar_t) from one model.linearize at (x_t, t), and
     its pullback vjp(c) = (c - sqrt(1 - abar_t) J_eps^T c) / sqrt(abar_t)."""
-    ab = float(sched.alpha_bar(t))
+    ab = float(model.sched.alpha_bar(t))
     if ab < _ALPHA_BAR_FLOOR:
         raise NumericDegeneracyError(f"alpha_bar({t}) = {ab} too small for Tweedie denoising")
     x_t = np.asarray(x_t, float)
@@ -33,13 +33,12 @@ def linearize_tweedie(x_t: np.ndarray, t, model: ScoreModel, sched: NoiseSchedul
     return x0_hat, lambda c: (c - np.sqrt(1.0 - ab) * pullback(c)) / np.sqrt(ab)
 
 
-def tweedie(x_t: np.ndarray, t, model: ScoreModel, sched: NoiseSchedule) -> np.ndarray:
+def tweedie(x_t: np.ndarray, t, model: ScoreModel) -> np.ndarray:
     """Posterior mean (x_t + (1 - abar_t) score(x_t, t)) / sqrt(abar_t)."""
-    return linearize_tweedie(x_t, t, model, sched)[0]
+    return linearize_tweedie(x_t, t, model)[0]
 
 
-def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: np.ndarray,
-               sg_mode: str | None = None):
+def round_trip(x0: np.ndarray, s, model: ScoreModel, eps: np.ndarray, sg_mode: str | None = None):
     """The perturb-then-denoise round trip of x0 at timestep s: (draws, cot).
 
     For each noise draw eps[j] (eps has shape (m,) + x0.shape, m >= 1, else
@@ -55,11 +54,11 @@ def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: 
     eps = np.asarray(eps, float)
     if eps.ndim != x0.ndim + 1 or eps.shape[0] == 0 or eps.shape[1:] != x0.shape:
         raise ValueError(f"noise draws of shape {eps.shape} do not fit (m,) + {x0.shape}, m >= 1")
-    sqrt_a_s = np.sqrt(float(sched.alpha_bar(s)))
+    sqrt_a_s = np.sqrt(float(model.sched.alpha_bar(s)))
     draws = np.empty(eps.shape[:-1])
     cot = None if sg_mode is None else np.zeros_like(x0)
     for j in range(eps.shape[0]):
-        x0_s, pull_s = linearize_tweedie(perturb(x0, s, eps[j], sched), s, model, sched)
+        x0_s, pull_s = linearize_tweedie(perturb(x0, s, eps[j], model.sched), s, model)
         r = x0 - x0_s
         draws[j] = np.sum(r * r, axis=-1)
         if sg_mode is None:
@@ -75,20 +74,18 @@ def round_trip(x0: np.ndarray, s, model: ScoreModel, sched: NoiseSchedule, eps: 
     return draws, cot
 
 
-def minority_score(x0: np.ndarray, t, model: ScoreModel, sched: NoiseSchedule,
-                   eps: np.ndarray) -> np.ndarray:
+def minority_score(x0: np.ndarray, t, model: ScoreModel, eps: np.ndarray) -> np.ndarray:
     """Monte-Carlo estimate of E_eps ||x0 - tweedie(perturb(x0, t, eps), t)||^2
     over the draws eps, of shape (m,) + x0.shape: a scalar, or one value per
     row of a batch."""
-    return round_trip(x0, t, model, sched, eps)[0].mean(axis=0)
+    return round_trip(x0, t, model, eps)[0].mean(axis=0)
 
 
-def inference_metric(x_t: np.ndarray, t, s, model: ScoreModel, sched: NoiseSchedule,
-                     eps: np.ndarray) -> np.ndarray:
+def inference_metric(x_t: np.ndarray, t, s, model: ScoreModel, eps: np.ndarray) -> np.ndarray:
     """Uniqueness metric of a noisy latent: minority score of its Tweedie surrogate.
 
     x0_hat = tweedie(x_t, t); x0_hat is re-noised to timestep s with each
     draw of eps (shape (m,) + x_t.shape) and denoised again, and the squared
     error between the two is averaged over the draws.
     """
-    return minority_score(tweedie(x_t, t, model, sched), s, model, sched, eps)
+    return minority_score(tweedie(x_t, t, model), s, model, eps)

@@ -1,5 +1,8 @@
 """Score / noise-predictor models.
 
+A model is the one carrier of its noise schedule: every function that takes
+a model reads the schedule as model.sched, so the two cannot disagree.
+
 Every model implements only linearize(x, t) -> (eps, vjp), which evaluates
 eps once and returns its input pullback as a closure (in the style of
 jax.vjp), so a forward pass and the backward pass through it share their
@@ -258,8 +261,11 @@ def train_dsm(
 
     Minimizes the per-batch mean of ||eps - eps_theta(perturb(x0, t, eps),
     t)||^2 with t drawn uniformly from 1..T. Returns the per-step loss
-    history.
+    history. `sched` must be the model's own schedule (same fingerprint),
+    which its checkpoint records, else ConfigError.
     """
+    if sched.fingerprint() != model.sched.fingerprint():
+        raise ConfigError("train_dsm got a noise schedule other than the model's own")
     data = np.atleast_2d(np.asarray(data, float))
     if data.shape[0] == 0:
         raise ValueError("training data must be non-empty")

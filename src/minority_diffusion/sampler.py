@@ -82,8 +82,7 @@ def _normalize_linf(g: np.ndarray) -> np.ndarray:
     return g / safe
 
 
-def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sched: NoiseSchedule,
-             eps: np.ndarray):
+def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, eps: np.ndarray):
     """(g, metric): gradient of the inference-time metric w.r.t. x_t under
     cfg.sg_mode, and the metric value.
 
@@ -100,21 +99,16 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, sc
     """
     if np.shape(eps)[:1] != (cfg.mc_samples,):
         raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
-    x0_hat, pull_t = linearize_tweedie(x_t, t, model, sched)
-    draws, cot = round_trip(x0_hat, sched.step_at(cfg.s_fraction), model, sched, eps, cfg.sg_mode)
+    x0_hat, pull_t = linearize_tweedie(x_t, t, model)
+    draws, cot = round_trip(x0_hat, model.sched.step_at(cfg.s_fraction), model, eps, cfg.sg_mode)
     g = pull_t(cot)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
     return g, draws.mean(axis=0)
 
 
-def naive_density_guidance(
-    x_t: np.ndarray,
-    t: int,
-    model: ScoreModel,
-    sched: NoiseSchedule,
-    normalize_linf: bool = True,
-) -> np.ndarray:
+def naive_density_guidance(x_t: np.ndarray, t: int, model: ScoreModel,
+                           normalize_linf: bool = True) -> np.ndarray:
     """Descent direction on the perturbed log-density: -score(x_t, t)."""
     g = -model.score(x_t, t)
     if normalize_linf:
@@ -122,14 +116,14 @@ def naive_density_guidance(
     return g
 
 
-def reverse_step(x: np.ndarray, t: int, model: ScoreModel, sched: NoiseSchedule, z) -> np.ndarray:
+def reverse_step(x: np.ndarray, t: int, model: ScoreModel, z) -> np.ndarray:
     """One reverse-chain transition x_t -> x_{t-1} with injected noise z.
 
     At t = 1 the transition is its mean and z is not used.
     """
     if t < 1:
         raise ValueError(f"cannot step below t = 1 (got t = {t})")
-    beta = float(sched.beta(t))
+    beta = float(model.sched.beta(t))
     mu = (x + beta * model.score(x, t)) / np.sqrt(1.0 - beta)
     return mu if t == 1 else mu + np.sqrt(beta) * z
 
@@ -168,7 +162,6 @@ TRACE_HEADER = "t,weight," + ",".join(
 
 def guided_sample(
     model: ScoreModel,
-    sched: NoiseSchedule,
     cfg: GuidanceConfig,
     dim: int,
     chains: int,
@@ -192,8 +185,8 @@ def guided_sample(
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
-    T = sched.T
-    plan = guidance_plan(cfg, sched)
+    T = model.sched.T
+    plan = guidance_plan(cfg, model.sched)
     noise = np.empty((chains, T, dim))
     eps_tape = None
     if plan and cfg.kind == "self":
@@ -212,11 +205,11 @@ def guided_sample(
             j, w_t = step
             if cfg.kind == "self":
                 eps = np.moveaxis(eps_tape[:, j], 1, 0)  # (m, chains, dim)
-                g_vec, metric = guidance(x, t, cfg, model, sched, eps=eps)
+                g_vec, metric = guidance(x, t, cfg, model, eps=eps)
             else:
-                g_vec = naive_density_guidance(x, t, model, sched, normalize_linf=cfg.normalize_linf)
+                g_vec = naive_density_guidance(x, t, model, normalize_linf=cfg.normalize_linf)
                 metric = np.full(chains, np.nan)
-        x = reverse_step(x, t, model, sched, noise[:, T - t + 1] if t > 1 else None)
+        x = reverse_step(x, t, model, noise[:, T - t + 1] if t > 1 else None)
         if step is not None:
             x = x + w_t * g_vec
             if trace:

@@ -16,11 +16,6 @@ def sched20():
 
 
 @pytest.fixture(scope="session")
-def sched_linear20():
-    return build_schedule("linear", 20)
-
-
-@pytest.fixture(scope="session")
 def ring():
     return benchmark("gmm8-ring")
 

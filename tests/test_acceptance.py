@@ -60,7 +60,7 @@ def mean_density(w, t_mid=60, sg_mode="sg_second", n=1, kind="self"):
         n=n,
         kind=kind,
     )
-    x, _ = guided_sample(RING_LIN, LINEAR, cfg, dim=2, chains=CHAINS, seed=SEED)
+    x, _ = guided_sample(RING_LIN, cfg, dim=2, chains=CHAINS, seed=SEED)
     return float(np.mean(log_density_gmm(x, RING))), x
 
 
@@ -75,7 +75,7 @@ def test_criterion_01_reconstruction_noise_identity(capsys):
         eps = rng.standard_normal(2)
         ab = float(COSINE.alpha_bar(t))
         xt = perturb(x0, t, eps, COSINE)
-        resid = x0 - tweedie(xt, t, RING_COS, COSINE)
+        resid = x0 - tweedie(xt, t, RING_COS)
         lhs = ab / (1.0 - ab) * float(np.sum(resid * resid))
         rhs = float(np.sum((eps - RING_COS.eps(xt, t)) ** 2))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
@@ -89,7 +89,7 @@ def test_criterion_01_reconstruction_noise_identity(capsys):
         wbar = ab / (1.0 - ab)
 
         def q(e):
-            ev = minority_score(x0, t, UNIT_COS, COSINE, eps=np.asarray(e, float)[None])
+            ev = minority_score(x0, t, UNIT_COS, eps=np.asarray(e, float)[None])
             return wbar * float(ev)
 
         expect = q(np.zeros(2))
@@ -114,18 +114,18 @@ def test_criterion_02_identity_for_denoised_surrogate(capsys):
         x0 = RING.sample(1, rng)[0]
         t_lat = int(rng.integers(1, T + 1))
         x_t = perturb(x0, t_lat, rng.standard_normal(2), COSINE)
-        x0_hat = tweedie(x_t, t_lat, RING_COS, COSINE)
+        x0_hat = tweedie(x_t, t_lat, RING_COS)
         t = int(rng.integers(1, T + 1))
         eps = rng.standard_normal(2)
         ab = float(COSINE.alpha_bar(t))
         xt = perturb(x0_hat, t, eps, COSINE)
-        resid = x0_hat - tweedie(xt, t, RING_COS, COSINE)
+        resid = x0_hat - tweedie(xt, t, RING_COS)
         lhs = ab / (1.0 - ab) * float(np.sum(resid * resid))
         rhs = float(np.sum((eps - RING_COS.eps(xt, t)) ** 2))
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     # the packaged verifier agrees over the full timestep grid
-    rep = verify_prop1(x0_hat, RING_COS, COSINE, m=1, rng=rng)
-    ok = worst <= 1e-10 and rep.max_pointwise_rel_gap <= 1e-10
+    rep = verify_prop1(x0_hat, RING_COS, m=1, rng=rng)
+    ok = worst <= 1e-10 and rep["max_pointwise_rel_gap"] <= 1e-10
     report(capsys, 2, ok, f"surrogate pointwise rel gap {worst:.2e}")
 
 
@@ -137,9 +137,9 @@ def test_criterion_03_metric_tracks_negative_log_density(capsys):
     x0 = RING.sample(2000, rng)
     x_t = perturb(x0, t, rng.standard_normal(x0.shape), COSINE)
     ev = minority_score(
-        tweedie(x_t, t, RING_COS, COSINE), t, RING_COS, COSINE, eps=rng.standard_normal((4,) + x_t.shape)
+        tweedie(x_t, t, RING_COS), t, RING_COS, eps=rng.standard_normal((4,) + x_t.shape)
     )
-    neg_ld = -log_density_gmm(tweedie(x_t, t, RING_COS, COSINE), RING)
+    neg_ld = -log_density_gmm(tweedie(x_t, t, RING_COS), RING)
     rho = scipy.stats.spearmanr(ev, neg_ld).statistic
     report(capsys, 3, rho >= 0.5, f"spearman {rho:.3f} (need >= +0.5)")
 
@@ -152,7 +152,7 @@ def test_criterion_04_guidance_scale_trend(capsys):
     stats = []
     for w in (0.0, 4.0, 8.0):
         cfg = GuidanceConfig(w=w, schedule_mode="variance", s_fraction=0.5, n=5)
-        x, _ = guided_sample(RING_COS, COSINE, cfg, dim=2, chains=CHAINS, seed=SEED)
+        x, _ = guided_sample(RING_COS, cfg, dim=2, chains=CHAINS, seed=SEED)
         ld = log_density_gmm(x, RING)
         knn = avg_knn_batch(x, np.concatenate([x, reference]), 5, self_offset=0)
         stats.append(
@@ -213,7 +213,7 @@ def test_criterion_06_stop_gradient_decomposition(capsys):
                 cfg = GuidanceConfig(
                     w=1.0, sg_mode=sg, s_fraction=0.8, normalize_linf=False
                 )
-                parts[sg] = guidance(x, t, cfg, model, COSINE, eps=eps)[0]
+                parts[sg] = guidance(x, t, cfg, model, eps=eps)[0]
             gap = np.max(np.abs(parts["none"] - parts["sg_first"] - parts["sg_second"]))
             worst = max(worst, float(gap))
     report(capsys, 6, worst <= 1e-6, f"max decomposition gap {worst:.2e}")
@@ -224,12 +224,12 @@ def sg_objective(x, t, cfg, model, sched, eps, center):
     s = sched.step_at(cfg.s_fraction)
     a_s = float(sched.alpha_bar(s))
     c_s = np.sqrt(1.0 - a_s)
-    x0_c = tweedie(center, t, model, sched)
+    x0_c = tweedie(center, t, model)
     total = 0.0
     for e in eps:
-        x0hh_c = tweedie(np.sqrt(a_s) * x0_c + c_s * e, s, model, sched)
-        x0 = tweedie(x, t, model, sched)
-        x0hh = tweedie(np.sqrt(a_s) * x0 + c_s * e, s, model, sched)
+        x0hh_c = tweedie(np.sqrt(a_s) * x0_c + c_s * e, s, model)
+        x0 = tweedie(x, t, model)
+        x0hh = tweedie(np.sqrt(a_s) * x0 + c_s * e, s, model)
         if cfg.sg_mode == "sg_second":
             total += float(np.sum((x0 - x0hh_c) ** 2))
         elif cfg.sg_mode == "sg_first":
@@ -250,7 +250,7 @@ def test_criterion_07_guidance_matches_finite_differences(capsys):
             sg = ("none", "sg_first", "sg_second")[int(rng.integers(3))]
             cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.8, normalize_linf=False)
             eps = rng.standard_normal((1, 2))
-            g = guidance(x, t, cfg, model, COSINE, eps=eps)[0]
+            g = guidance(x, t, cfg, model, eps=eps)[0]
             fd = np.empty(2)
             for i in range(2):
                 e = np.zeros(2)
@@ -273,7 +273,7 @@ def test_criterion_08_intermittent_guidance(capsys):
     for n in (1, 5):
         counted = CallCountingModel(RING_COS)
         cfg = GuidanceConfig(w=0.2, schedule_mode="variance", s_fraction=0.5, n=n)
-        guided_sample(counted, COSINE, cfg, dim=2, chains=2, seed=SEED)
+        guided_sample(counted, cfg, dim=2, chains=2, seed=SEED)
         evals = (counted.forward_calls - T) // 2  # two metric forwards per eval
         counts_ok = counts_ok and evals == len(guided_steps(T, n))
         counts_ok = counts_ok and counted.backward_calls == len(guided_steps(T, n))
@@ -294,7 +294,7 @@ def test_criterion_08_intermittent_guidance(capsys):
 
 
 def test_criterion_09_ancestral_baseline(capsys):
-    x, _ = guided_sample(UNIT_COS, COSINE, GuidanceConfig(w=0.0), dim=2, chains=10_000, seed=SEED)
+    x, _ = guided_sample(UNIT_COS, GuidanceConfig(w=0.0), dim=2, chains=10_000, seed=SEED)
     mean = x.mean(axis=0)
     var = x.var(axis=0, ddof=1)
     ok = bool(np.all(np.abs(mean) < 0.05) and np.all(np.abs(var - 1.0) < 0.05))

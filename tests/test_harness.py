@@ -15,7 +15,7 @@ from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoin
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError
-from minority_diffusion.evaluation import check_reference_room, reference_set
+from minority_diffusion.evaluation import check_reference_room, reference_set, verify_prop1
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
@@ -444,7 +444,7 @@ def test_per_sample_metric_noise_stream(mc):
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     s = sched.step_at(cfg.guidance_s_fraction)
     noised = perturb(report.samples, t_metric, z, sched)
-    want = inference_metric(noised, t_metric, s, GmmScoreModel(spec, sched), sched, eps)
+    want = inference_metric(noised, t_metric, s, GmmScoreModel(spec, sched), eps)
     assert np.array_equal(report.metric, want)
 
 
@@ -534,6 +534,40 @@ def test_cli_verify(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["max_pointwise_rel_gap"] <= 1e-10
     assert main(["verify", "--config", str(cfg_path), "--mode", "corollary1"]) == 0
+
+
+def test_cli_unguided_sample_takes_any_interval(tmp_path, capsys):
+    # with guidance.w = 0 no step is meant to guide, so an interval past T is fine
+    cfg_path = write_small_config(tmp_path)
+    args = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    assert main([*args, "--set", "guidance.w=0", "--set", "guidance.interval=300"]) == 0
+    assert json.loads(capsys.readouterr().out)["backward_calls"] == 0
+
+
+def test_cli_verify_uses_model_kind(tmp_path, capsys):
+    # verify builds its model from model.kind, as sample does
+    cfg_path = write_small_config(tmp_path)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(cfg_path), "--out", str(ckpt), "--steps", "20", "--train-size", "256"]) == 0
+    verify = ["verify", "--config", str(cfg_path), "--mc", "2"]
+    assert main(verify) == 0
+    capsys.readouterr()
+    assert main([*verify, "--set", "model.kind=mlp", "--set", f"model.checkpoint={ckpt}"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    cfg = small_config()
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 13]))
+    x0 = cfg.gmm_spec().sample(1, rng)[0]
+    want = verify_prop1(x0, load_checkpoint(ckpt, cfg.noise_schedule()), rng, m=2)
+    assert got == {"mode": "prop1", **want}
+
+
+def test_cli_verify_rejects_an_unusable_model(tmp_path, capsys):
+    cfg_path = write_small_config(tmp_path)
+    verify = ["verify", "--config", str(cfg_path), "--set", "model.kind=mlp"]
+    assert main([*verify, "--set", f"model.checkpoint={tmp_path / 'missing.ckpt'}"]) == EXIT_IO
+    assert "missing.ckpt" in capsys.readouterr().err
+    assert main(verify) == EXIT_CONFIG
+    assert "model.checkpoint" in capsys.readouterr().err
 
 
 def test_cli_out_is_replaced_whole(tmp_path, capsys, monkeypatch):
@@ -635,6 +669,14 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
         ("sample", ["guidance.t_mid=-3"], "guidance.t_mid"),
         ("sample", ["guidance_w=0.3"], "guidance_w"),
         ("sample", ["guidance.w=abc"], "guidance.w"),
+        # a guided config must guide at least one step of the T = 20 chain
+        ("sample", ["guidance.interval=300"], "guidance.interval"),
+        ("sample", ["guidance.t_mid=400"], "guidance.t_mid"),
+        (
+            "sample",
+            ["schedule.timesteps=250", "guidance.schedule=switch_off", "guidance.t_mid=249", "guidance.interval=100"],
+            "guidance.interval",
+        ),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

@@ -16,7 +16,7 @@ import pytest
 import minority_diffusion
 
 from minority_diffusion import gmm
-from minority_diffusion.errors import TrainingDivergenceError
+from minority_diffusion.errors import ConfigError, TrainingDivergenceError
 from minority_diffusion.models import (
     CallCountingModel,
     GmmScoreModel,
@@ -171,6 +171,16 @@ def test_train_dsm_rejects_empty_data(sched20):
         train_dsm(model, np.empty((0, 2)), sched20, TrainOptions(steps=1), np.random.default_rng(0))
 
 
+def test_train_dsm_rejects_another_schedule(sched20):
+    # a checkpoint records its model's schedule, so a model trained against
+    # another one would load as valid for the wrong process
+    model = MlpEpsModel(sched20, dim=2, seed=0)
+    before = model.params.copy()
+    with pytest.raises(ConfigError, match="schedule"):
+        train_dsm(model, np.zeros((4, 2)), build_schedule("cosine", 40), TrainOptions(steps=1), np.random.default_rng(0))
+    assert np.array_equal(model.params, before) and model.step_count == 0
+
+
 def test_call_counting_wrapper(ring_model20):
     counted = CallCountingModel(ring_model20)
     x = np.zeros((3, 2))
@@ -247,7 +257,7 @@ def test_mlp_buffer_pool_does_not_grow_with_steps(mc, held):
     for T in (10, 40):
         sched = build_schedule("cosine", T)
         model = MlpEpsModel(sched, dim=2, hidden=(16, 16), emb_dim=8, seed=5)
-        guided_sample(model, sched, GuidanceConfig(w=1.0, n=1, mc_samples=mc), dim=2, chains=12, seed=0)
+        guided_sample(model, GuidanceConfig(w=1.0, n=1, mc_samples=mc), dim=2, chains=12, seed=0)
         pools.append({shape: len(free) for shape, free in model._pool.items()})
     assert pools[0] == pools[1] == {(12, 16): held}
 

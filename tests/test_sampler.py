@@ -25,7 +25,6 @@ from minority_diffusion.sampler import (
     reverse_step,
     weight,
 )
-from minority_diffusion.schedule import build_schedule
 
 
 def sg_objective(x, t, cfg, model, sched, eps, center):
@@ -33,14 +32,14 @@ def sg_objective(x, t, cfg, model, sched, eps, center):
     s = sched.step_at(cfg.s_fraction)
     a_s = float(sched.alpha_bar(s))
     c_s = np.sqrt(1.0 - a_s)
-    x0_c = tweedie(center, t, model, sched)
+    x0_c = tweedie(center, t, model)
     total = 0.0
     for e in eps:
         xs_c = np.sqrt(a_s) * x0_c + c_s * e
-        x0hh_c = tweedie(xs_c, s, model, sched)
-        x0 = tweedie(x, t, model, sched)
+        x0hh_c = tweedie(xs_c, s, model)
+        x0 = tweedie(x, t, model)
         xs = np.sqrt(a_s) * x0 + c_s * e
-        x0hh = tweedie(xs, s, model, sched)
+        x0hh = tweedie(xs, s, model)
         if cfg.sg_mode == "sg_second":
             total += float(np.sum((x0 - x0hh_c) ** 2))
         elif cfg.sg_mode == "sg_first":
@@ -60,7 +59,7 @@ def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20
     for t in (5, 14):
         x = rng.normal(scale=2.0, size=2)
         eps = rng.normal(size=(2, 2))
-        g = guidance(x, t, cfg, model, sched20, eps=eps)[0]
+        g = guidance(x, t, cfg, model, eps=eps)[0]
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
@@ -71,7 +70,7 @@ def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20
             assert g[i] == pytest.approx(fd, rel=2e-4, abs=1e-7)
 
 
-def test_guidance_decomposes_over_stop_gradients(ring_model20, mlp20, sched20):
+def test_guidance_decomposes_over_stop_gradients(ring_model20, mlp20):
     rng = np.random.default_rng(8)
     for model in (ring_model20, mlp20):
         x = rng.normal(scale=2.0, size=(4, 2))
@@ -79,17 +78,17 @@ def test_guidance_decomposes_over_stop_gradients(ring_model20, mlp20, sched20):
         parts = {}
         for sg in ("none", "sg_first", "sg_second"):
             cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, normalize_linf=False)
-            parts[sg] = guidance(x, 10, cfg, model, sched20, eps=eps)[0]
+            parts[sg] = guidance(x, 10, cfg, model, eps=eps)[0]
         np.testing.assert_allclose(
             parts["none"], parts["sg_first"] + parts["sg_second"], atol=1e-9
         )
 
 
-def test_guidance_returns_metric_value(ring_model20, sched20):
+def test_guidance_returns_metric_value(ring_model20):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 2))
     cfg = GuidanceConfig(w=1.0, s_fraction=0.6)
-    _, metric = guidance(x, 10, cfg, ring_model20, sched20, eps=rng.normal(size=(1, 3, 2)))
+    _, metric = guidance(x, 10, cfg, ring_model20, eps=rng.normal(size=(1, 3, 2)))
     assert metric.shape == (3,)
     assert np.all(metric >= 0.0)
 
@@ -105,23 +104,23 @@ def test_guidance_metric_is_inference_metric(sg, m, model_name, ring_model20, ml
     x = rng.normal(scale=2.0, size=(5, 2))
     eps = rng.normal(size=(m, 5, 2))
     cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=m)
-    _, metric = guidance(x, 12, cfg, model, sched20, eps=eps)
-    want = inference_metric(x, 12, sched20.step_at(cfg.s_fraction), model, sched20, eps=eps)
+    _, metric = guidance(x, 12, cfg, model, eps=eps)
+    want = inference_metric(x, 12, sched20.step_at(cfg.s_fraction), model, eps=eps)
     assert np.array_equal(metric, want)
 
 
-def test_round_trip_without_gradient_makes_no_backward(ring_model20, sched20):
+def test_round_trip_without_gradient_makes_no_backward(ring_model20):
     counted = CallCountingModel(ring_model20)
     eps = np.random.default_rng(12).normal(size=(3, 4, 2))
-    draws, cot = round_trip(np.zeros((4, 2)), 9, counted, sched20, eps)
+    draws, cot = round_trip(np.zeros((4, 2)), 9, counted, eps)
     assert draws.shape == (3, 4) and cot is None
     assert (counted.forward_calls, counted.backward_calls) == (3, 0)
 
 
-def test_guidance_rejects_draws_that_do_not_match_mc_samples(ring_model20, sched20):
+def test_guidance_rejects_draws_that_do_not_match_mc_samples(ring_model20):
     cfg = GuidanceConfig(w=1.0, s_fraction=0.6, mc_samples=2)
     with pytest.raises(ValueError, match="fixed noise shape mismatch"):
-        guidance(np.zeros((4, 2)), 10, cfg, ring_model20, sched20, eps=np.zeros((3, 4, 2)))
+        guidance(np.zeros((4, 2)), 10, cfg, ring_model20, eps=np.zeros((3, 4, 2)))
 
 
 def test_weight_schedules(sched20):
@@ -170,14 +169,14 @@ def test_guidance_noise_rows_follow_the_tape(monkeypatch, ring_model20, sched20,
     seen = {}
     real = sampler.guidance
 
-    def spy(x, t, cfg, model, sched, eps):
+    def spy(x, t, cfg, model, eps):
         seen[t] = eps.copy()
-        return real(x, t, cfg, model, sched, eps=eps)
+        return real(x, t, cfg, model, eps=eps)
 
     monkeypatch.setattr(sampler, "guidance", spy)
     cfg = GuidanceConfig(w=0.5, schedule_mode=mode, t_mid=8, n=n, s_fraction=0.6, mc_samples=m)
     T, chains, seed = sched20.T, 3, 5
-    guided_sample(ring_model20, sched20, cfg, dim=2, chains=chains, seed=seed)
+    guided_sample(ring_model20, cfg, dim=2, chains=chains, seed=seed)
     assert sorted(seen, reverse=True) == [t for t in guided_steps(T, n) if weight(t, cfg, sched20) != 0.0]
     for c in range(chains):
         tape = chain_rngs(seed, c)[1].standard_normal((T // n, m, 2))
@@ -210,25 +209,25 @@ def test_guidance_config_validation():
         GuidanceConfig(kind="classifier")
 
 
-def test_ancestral_step_terminal_is_deterministic(unit_model20, sched20):
+def test_ancestral_step_terminal_is_deterministic(unit_model20):
     # at t = 1 the transition is its mean, whatever noise is passed
     x = np.array([0.4, -0.2])
-    out1 = reverse_step(x, 1, unit_model20, sched20, np.zeros(2))
-    out2 = reverse_step(x, 1, unit_model20, sched20, np.random.default_rng(99).standard_normal(2))
+    out1 = reverse_step(x, 1, unit_model20, np.zeros(2))
+    out2 = reverse_step(x, 1, unit_model20, np.random.default_rng(99).standard_normal(2))
     np.testing.assert_array_equal(out1, out2)
-    np.testing.assert_array_equal(out1, reverse_step(x, 1, unit_model20, sched20, None))
+    np.testing.assert_array_equal(out1, reverse_step(x, 1, unit_model20, None))
 
 
 @pytest.mark.parametrize("t", [0, -1])
-def test_reverse_step_rejects_t_below_one(t, unit_model20, sched20):
+def test_reverse_step_rejects_t_below_one(t, unit_model20):
     with pytest.raises(ValueError, match="cannot step below t = 1"):
-        reverse_step(np.zeros(2), t, unit_model20, sched20, np.zeros(2))
+        reverse_step(np.zeros(2), t, unit_model20, np.zeros(2))
 
 
 def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20, ring):
     chains, seed = 6, 42
     batched, trace = guided_sample(
-        ring_model20, sched20, GuidanceConfig(w=0.0), dim=2, chains=chains, seed=seed
+        ring_model20, GuidanceConfig(w=0.0), dim=2, chains=chains, seed=seed
     )
     assert trace == []
     for c in range(chains):
@@ -236,49 +235,49 @@ def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20
         x = rng_z.standard_normal(2)
         for t in range(sched20.T, 0, -1):
             z = rng_z.standard_normal(2) if t > 1 else None
-            x = reverse_step(x, t, ring_model20, sched20, z)
+            x = reverse_step(x, t, ring_model20, z)
         np.testing.assert_array_equal(batched[c], x)
 
 
 def test_zero_weight_never_touches_guidance(ring_model20, sched20):
     counted = CallCountingModel(ring_model20)
-    guided_sample(counted, sched20, GuidanceConfig(w=0.0), dim=2, chains=3, seed=0)
+    guided_sample(counted, GuidanceConfig(w=0.0), dim=2, chains=3, seed=0)
     assert counted.forward_calls == sched20.T
     assert counted.backward_calls == 0
 
 
-def test_guided_sampler_is_deterministic(ring_model20, sched20):
+def test_guided_sampler_is_deterministic(ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=4, s_fraction=0.6)
-    a, _ = guided_sample(ring_model20, sched20, cfg, dim=2, chains=4, seed=3)
-    b, _ = guided_sample(ring_model20, sched20, cfg, dim=2, chains=4, seed=3)
+    a, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=3)
+    b, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=3)
     np.testing.assert_array_equal(a, b)
-    c, _ = guided_sample(ring_model20, sched20, cfg, dim=2, chains=4, seed=4)
+    c, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=4)
     assert not np.array_equal(a, c)
 
 
-def test_extra_chains_leave_existing_chains_untouched(ring_model20, sched20):
+def test_extra_chains_leave_existing_chains_untouched(ring_model20):
     # per-chain streams depend only on (seed, chain index)
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=4, s_fraction=0.6)
-    small, _ = guided_sample(ring_model20, sched20, cfg, dim=2, chains=3, seed=3)
-    big, _ = guided_sample(ring_model20, sched20, cfg, dim=2, chains=5, seed=3)
+    small, _ = guided_sample(ring_model20, cfg, dim=2, chains=3, seed=3)
+    big, _ = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=3)
     np.testing.assert_array_equal(small, big[:3])
 
 
-def test_naive_guidance_is_normalized_descent(ring_model20, sched20):
+def test_naive_guidance_is_normalized_descent(ring_model20):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 2))
     raw = -ring_model20.score(x, 8)
     np.testing.assert_allclose(
-        naive_density_guidance(x, 8, ring_model20, sched20), _normalize_linf(raw), rtol=1e-12
+        naive_density_guidance(x, 8, ring_model20), _normalize_linf(raw), rtol=1e-12
     )
     np.testing.assert_allclose(
-        naive_density_guidance(x, 8, ring_model20, sched20, normalize_linf=False), raw, rtol=1e-12
+        naive_density_guidance(x, 8, ring_model20, normalize_linf=False), raw, rtol=1e-12
     )
 
 
 def test_trace_rows_cover_guided_steps(ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
-    _, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=2, seed=0, trace=True)
+    _, trace = guided_sample(ring_model20, cfg, dim=2, chains=2, seed=0, trace=True)
     assert [row[0] for row in trace] == guided_steps(sched20.T, 5)
     for _, w_t, *cells in trace:
         # mean and five quantiles each of l2, linf and the metric; l-inf
@@ -287,26 +286,25 @@ def test_trace_rows_cover_guided_steps(ring_model20, sched20):
         assert w_t == 0.5 and np.all(linf == 1.0) and np.all(l2 >= 1.0)
         assert np.all(np.isfinite(metric))
     # the same run untraced keeps nothing
-    _, untraced = guided_sample(ring_model20, sched20, cfg, dim=2, chains=2, seed=0)
+    _, untraced = guided_sample(ring_model20, cfg, dim=2, chains=2, seed=0)
     assert untraced == []
 
 
 @pytest.mark.parametrize("kind", ["self", "naive"])
 def test_tracing_leaves_samples_unchanged(kind, ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=2, s_fraction=0.6, mc_samples=2, kind=kind)
-    plain, untraced = guided_sample(ring_model20, sched20, cfg, dim=2, chains=5, seed=7)
-    traced, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=5, seed=7, trace=True)
+    plain, untraced = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=7)
+    traced, trace = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=7, trace=True)
     assert untraced == [] and len(trace) == len(guided_steps(sched20.T, 2))
     assert np.array_equal(plain, traced)
 
 
 def test_switch_off_skips_low_timesteps(ring_model20):
-    sched = build_schedule("cosine", 20)
     counted = CallCountingModel(ring_model20)
     cfg = GuidanceConfig(
         w=0.5, schedule_mode="switch_off", t_mid=11, n=1, s_fraction=0.6, mc_samples=1
     )
-    guided_sample(counted, sched, cfg, dim=2, chains=2, seed=0)
+    guided_sample(counted, cfg, dim=2, chains=2, seed=0)
     # 20 transitions + 2 tweedie forwards per active guidance step (t = 11..20)
     assert counted.forward_calls == 20 + 10 * 2
     assert counted.backward_calls == 10  # sg_second: one pullback per step
@@ -343,9 +341,9 @@ class NanAt(TwoPassModel):
 def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6, sg_mode=sg, mc_samples=2)
     for model in (ring_model20, mlp20):
-        fast, fast_trace = guided_sample(model, sched20, cfg, dim=2, chains=5, seed=1, trace=True)
+        fast, fast_trace = guided_sample(model, cfg, dim=2, chains=5, seed=1, trace=True)
         slow, slow_trace = guided_sample(
-            TwoPassModel(model), sched20, cfg, dim=2, chains=5, seed=1, trace=True
+            TwoPassModel(model), cfg, dim=2, chains=5, seed=1, trace=True
         )
         np.testing.assert_array_equal(fast, slow)
         assert len(fast_trace) == len(guided_steps(sched20.T, 3))
@@ -353,17 +351,17 @@ def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20)
 
 
 @pytest.mark.parametrize("t_bad", [20, 9, 6, 1])
-def test_non_finite_state_raises_with_timestep(t_bad, ring_model20, sched20):
+def test_non_finite_state_raises_with_timestep(t_bad, ring_model20):
     # t = 9 and t = 6 are guided steps (n = 3), t = 20 and t = 1 are not
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericDegeneracyError, match=f"t = {t_bad}$"):
-            guided_sample(NanAt(ring_model20, t_bad), sched20, cfg, dim=2, chains=3, seed=0)
+            guided_sample(NanAt(ring_model20, t_bad), cfg, dim=2, chains=3, seed=0)
 
 
-def test_trace_rows_hold_python_scalars(ring_model20, sched20):
+def test_trace_rows_hold_python_scalars(ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
-    _, trace = guided_sample(ring_model20, sched20, cfg, dim=2, chains=3, seed=0, trace=True)
+    _, trace = guided_sample(ring_model20, cfg, dim=2, chains=3, seed=0, trace=True)
     assert trace
     for t, w_t, *cells in trace:
         # every cell is written with repr, which round-trips a Python float
