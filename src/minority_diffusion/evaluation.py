@@ -86,8 +86,14 @@ def _knn_scan(
     nq, n = queries.shape[0], refset.shape[0]
     if k < 1 or n - (1 if self_offset is not None else 0) < k:
         raise ValueError(f"need at least k={k} >= 1 neighbors in the reference set")
-    if not (np.isfinite(queries).all() and np.isfinite(refset).all()):
-        raise NumericDegeneracyError("non-finite point in the neighbor search")
+    # every squared distance is at most the sum over axes of the squared
+    # coordinate spread, which is inf or nan for a non-finite point too
+    top = np.maximum(queries.max(axis=0, initial=-np.inf), refset.max(axis=0))
+    bottom = np.minimum(queries.min(axis=0, initial=np.inf), refset.min(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sum((top - bottom) ** 2)
+    if not np.isfinite(bound):
+        raise NumericDegeneracyError("non-finite point, or squared distances that overflow, in the neighbor search")
     tree = cKDTree(refset)
     nbr_idx = np.empty((nq, k), dtype=np.intp)
     nbr_dist = np.empty((nq, k))
@@ -100,6 +106,8 @@ def _knn_scan(
             r = rows[lo : lo + step]
             if width < n:
                 cand = tree.query(queries[r], k=width)[1]
+                if (cand == n).any():  # the tree's pad for "no neighbour at a finite distance"
+                    raise NumericDegeneracyError("neighbor search found too few finite distances")
             else:
                 cand = np.broadcast_to(np.arange(n), (r.size, n))
             idx, dist = _rank(queries, refset, cand, r, self_offset)

@@ -160,6 +160,42 @@ TRACE_HEADER = "t,weight," + ",".join(
 )
 
 
+# a noise tape is drawn WINDOW_MIN_ROWS rows at a time, or as many more as
+# fit WINDOW_BYTES, and never more rows than it has
+WINDOW_BYTES = 4 * 2**20
+WINDOW_MIN_ROWS = 32
+
+
+class _Tape:
+    """Rows 0..rows-1 of one noise tape of every chain, drawn a window of
+    rows at a time into one reused buffer.
+
+    Chain c's tape is rngs[c].standard_normal((rows,) + shape); row j of the
+    tape is the array of shape shape[:-1] + (chains, shape[-1]) that holds
+    row j of every chain. Rows are taken in order: a row past the window
+    draws the next rows of every stream, and the rows it passes over are
+    drawn too. The generator fills in C order, so the rows match one draw of
+    the whole tape. A row stays valid only until the next refill.
+    """
+
+    def __init__(self, rngs, rows: int, shape: tuple):
+        self.rngs, self.rows, self.shape = rngs, rows, shape
+        row_bytes = 8 * len(rngs) * int(np.prod(shape))
+        width = min(rows, max(WINDOW_MIN_ROWS, WINDOW_BYTES // row_bytes))
+        self.buf = np.empty((width, *shape[:-1], len(rngs), shape[-1]))
+        self.start = self.end = 0  # rows start..end-1 are in the buffer
+
+    def row(self, j: int) -> np.ndarray:
+        if not self.start <= j < self.rows:
+            raise IndexError(f"tape row {j}: rows are taken in order and {self.start}..{self.rows - 1} are left")
+        while j >= self.end:
+            self.start, self.end = self.end, min(self.end + len(self.buf), self.rows)
+            k = self.end - self.start
+            for c, rng in enumerate(self.rngs):
+                self.buf[:k, ..., c, :] = rng.standard_normal((k, *self.shape))
+        return self.buf[j - self.start]
+
+
 def guided_sample(
     model: ScoreModel,
     cfg: GuidanceConfig,
@@ -170,12 +206,20 @@ def guided_sample(
 ):
     """Run `chains` independent guided reverse chains; returns (samples, trace).
 
-    All chains are advanced together (the per-chain noise tapes are drawn
-    up front from per-chain streams, so the batched loop matches chain-by-chain
-    execution exactly). Guidance is evaluated at the pre-transition latent
-    at the steps of guidance_plan; with w = 0 the plan is empty and the
-    guidance machinery is never touched. A chain state that turns
-    non-finite raises NumericDegeneracyError naming the timestep.
+    All chains are advanced together. Each chain draws a transition-noise
+    tape of T rows of `dim` values from its first stream and, under self
+    guidance, a guidance-noise tape of one (mc_samples, dim) row per
+    guided_steps entry from its second, so the batched loop matches
+    chain-by-chain execution exactly. The tapes are drawn a window of steps
+    at a time (see _Tape), and the outputs are those of drawing them whole.
+    Tape memory is at most two windows, one per tape, of WINDOW_BYTES or
+    WINDOW_MIN_ROWS rows each, plus about 1 KB per stream for the generators
+    kept for the run.
+
+    Guidance is evaluated at the pre-transition latent at the steps of
+    guidance_plan; with w = 0 the plan is empty and the guidance machinery
+    is never touched. A chain state whose squared norm is not finite raises
+    NumericDegeneracyError naming the timestep.
 
     The trace is a list with one row per guided step, in sampling order,
     empty unless `trace` is set: (t, w_t), then the mean and the
@@ -187,35 +231,32 @@ def guided_sample(
         raise ConfigError("need at least one chain")
     T = model.sched.T
     plan = guidance_plan(cfg, model.sched)
-    noise = np.empty((chains, T, dim))
+    rng_z, rng_g = zip(*(chain_rngs(seed, c) for c in range(chains)))
+    noise = _Tape(rng_z, T, (dim,))
     eps_tape = None
     if plan and cfg.kind == "self":
-        eps_tape = np.empty((chains, T // cfg.n, cfg.mc_samples, dim))  # a row per guided_steps entry
-    for c in range(chains):
-        rng_z, rng_g = chain_rngs(seed, c)
-        noise[c] = rng_z.standard_normal((T, dim))
-        if eps_tape is not None:
-            eps_tape[c] = rng_g.standard_normal(eps_tape.shape[1:])
+        eps_tape = _Tape(rng_g, T // cfg.n, (cfg.mc_samples, dim))  # a row per guided_steps entry
 
-    x = noise[:, 0, :].copy()
+    x = noise.row(0).copy()
     recorded = []
     for t in range(T, 0, -1):
         step = plan.get(t)
         if step is not None:
             j, w_t = step
             if cfg.kind == "self":
-                eps = np.moveaxis(eps_tape[:, j], 1, 0)  # (m, chains, dim)
-                g_vec, metric = guidance(x, t, cfg, model, eps=eps)
+                g_vec, metric = guidance(x, t, cfg, model, eps=eps_tape.row(j))
             else:
                 g_vec = naive_density_guidance(x, t, model, normalize_linf=cfg.normalize_linf)
                 metric = np.full(chains, np.nan)
-        x = reverse_step(x, t, model, noise[:, T - t + 1] if t > 1 else None)
+        x = reverse_step(x, t, model, noise.row(T - t + 1) if t > 1 else None)
         if step is not None:
             x = x + w_t * g_vec
             if trace:
                 cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])
                 stats = np.column_stack([cols.mean(axis=1), np.quantile(cols, TRACE_QUANTILES, axis=1).T])
                 recorded.append((t, float(w_t), *stats.ravel().tolist()))
-        if not np.isfinite(x).all():
-            raise NumericDegeneracyError(f"non-finite chain state at t = {t}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norm = np.sum(x * x, axis=-1)
+        if not np.isfinite(sq_norm).all():
+            raise NumericDegeneracyError(f"chain state with a non-finite squared norm at t = {t}")
     return x, recorded

@@ -157,6 +157,41 @@ def test_neighbor_metrics_reject_non_finite_points():
         lof_batch(pts[:2], pts, 3, self_offset=0)
 
 
+def test_neighbor_metrics_evaluate_exactly_below_overflow():
+    # squared distances of about 1e301 are finite
+    pts = np.random.default_rng(12).uniform(-1.0, 1.0, size=(40, 2)) * 1e150
+    knn = avg_knn_batch(pts, pts, 5, self_offset=0)
+    lof = lof_batch(pts, pts, 5, self_offset=0)
+    for i, q in enumerate(pts):
+        assert knn[i] == brute_avg_knn(q, pts, 5, exclude_index=i)
+        assert lof[i] == pytest.approx(brute_lof(q, pts, 5, exclude_index=i), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e308])
+def test_neighbor_metrics_reject_overflowing_distances(scale):
+    pts = np.random.default_rng(12).uniform(-1.0, 1.0, size=(40, 2)) * scale
+    for metric in (avg_knn_batch, lof_batch):
+        with pytest.raises(NumericDegeneracyError, match="overflow"):
+            metric(pts, pts, 5, self_offset=0)
+
+
+def test_neighbor_search_rejects_a_tree_without_finite_neighbours(monkeypatch):
+    # cKDTree pads a row with index n when fewer than k points lie at a
+    # finite distance
+    import scipy.spatial
+
+    class PaddingTree(scipy.spatial.cKDTree):
+        def query(self, x, k=1, **kw):
+            dist, idx = super().query(x, k=k, **kw)
+            idx[:, -1] = self.n
+            return dist, idx
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", PaddingTree)
+    pts = np.random.default_rng(13).normal(size=(30, 2))
+    with pytest.raises(NumericDegeneracyError, match="finite distances"):
+        avg_knn_batch(pts, pts, 3, self_offset=0)
+
+
 def test_batch_versions_match_single_query():
     rng = np.random.default_rng(3)
     refset = rng.normal(size=(80, 2))

@@ -833,6 +833,26 @@ def test_cli_eval_malformed_samples_is_io_error(tmp_path, capsys, body):
     assert err.startswith("i/o error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale, code", [(1e150, 0), (1e154, EXIT_NUMERIC), (1e308, EXIT_NUMERIC)])
+def test_cli_eval_of_huge_samples_evaluates_or_is_numeric_error(tmp_path, capsys, scale, code):
+    # from about 1e154, squared distances between samples overflow
+    cfg_path = write_small_config(tmp_path)
+    coords = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 2)) * scale
+    rows = [f"{i},{x!r},{y!r},0,0,0,0" for i, (x, y) in enumerate(coords.tolist())]
+    path = tmp_path / "samples.csv"
+    path.write_text(harness._samples_header(2) + "\n" + "\n".join(rows) + "\n")
+    args = ["eval", "--config", str(cfg_path), "--samples", str(path), "--set", "eval.reference=generated"]
+    with np.errstate(over="ignore"):  # the log density of such a point is -inf
+        assert main(args + ["--out", str(tmp_path / "eval.json")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("numeric degeneracy") and "overflow" in err
+    else:
+        assert all(np.isfinite(v) for v in json.loads((tmp_path / "eval.json").read_text()).values()
+                   if isinstance(v, float))
+
+
 def test_cli_sample_non_finite_state_is_numeric_error(tmp_path, capsys, monkeypatch):
     class NanModel(GmmScoreModel):
         def linearize(self, x, t):

@@ -6,13 +6,18 @@ frozen at its center value), and the batched sampler against an explicit
 chain-by-chain ancestral loop driven by the same per-chain streams.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minority_diffusion import sampler
 from minority_diffusion.errors import ConfigError, NumericDegeneracyError
-from minority_diffusion.minority import inference_metric, round_trip, tweedie
-from minority_diffusion.models import CallCountingModel, ScoreModel
+from minority_diffusion.gmm import GmmSpec
+from minority_diffusion.minority import inference_metric, round_trip
+from minority_diffusion.models import CallCountingModel, GmmScoreModel, ScoreModel
 from minority_diffusion.sampler import (
     GuidanceConfig,
     _normalize_linf,
@@ -25,33 +30,12 @@ from minority_diffusion.sampler import (
     reverse_step,
     weight,
 )
-
-
-def sg_objective(x, t, cfg, model, sched, eps, center):
-    """Metric value with the stop-gradient branch frozen at the center point."""
-    s = sched.step_at(cfg.s_fraction)
-    a_s = float(sched.alpha_bar(s))
-    c_s = np.sqrt(1.0 - a_s)
-    x0_c = tweedie(center, t, model)
-    total = 0.0
-    for e in eps:
-        xs_c = np.sqrt(a_s) * x0_c + c_s * e
-        x0hh_c = tweedie(xs_c, s, model)
-        x0 = tweedie(x, t, model)
-        xs = np.sqrt(a_s) * x0 + c_s * e
-        x0hh = tweedie(xs, s, model)
-        if cfg.sg_mode == "sg_second":
-            total += float(np.sum((x0 - x0hh_c) ** 2))
-        elif cfg.sg_mode == "sg_first":
-            total += float(np.sum((x0_c - x0hh) ** 2))
-        else:
-            total += float(np.sum((x0 - x0hh) ** 2))
-    return total / len(eps)
+from minority_diffusion.schedule import build_schedule
 
 
 @pytest.mark.parametrize("sg", ["none", "sg_first", "sg_second"])
 @pytest.mark.parametrize("model_name", ["analytic", "mlp"])
-def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20, sched20):
+def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20, sg_objective):
     model = ring_model20 if model_name == "analytic" else mlp20
     cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, normalize_linf=False, mc_samples=2)
     rng = np.random.default_rng(7)
@@ -64,8 +48,8 @@ def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20
             e = np.zeros(2)
             e[i] = h
             fd = (
-                sg_objective(x + e, t, cfg, model, sched20, eps, x)
-                - sg_objective(x - e, t, cfg, model, sched20, eps, x)
+                sg_objective(x + e, t, cfg, model, eps, x)
+                - sg_objective(x - e, t, cfg, model, eps, x)
             ) / (2.0 * h)
             assert g[i] == pytest.approx(fd, rel=2e-4, abs=1e-7)
 
@@ -326,15 +310,16 @@ class TwoPassModel(ScoreModel):
 
 
 class NanAt(TwoPassModel):
-    """eps turns NaN at one timestep."""
+    """eps turns to `value` (NaN, or a finite value whose square overflows)
+    at one timestep."""
 
-    def __init__(self, inner, t_bad):
+    def __init__(self, inner, t_bad, value=np.nan):
         super().__init__(inner)
-        self.t_bad = t_bad
+        self.t_bad, self.value = t_bad, value
 
     def eps(self, x, t):
         out = self.inner.eps(x, t)
-        return np.full_like(out, np.nan) if t == self.t_bad else out
+        return np.full_like(out, self.value) if t == self.t_bad else out
 
 
 @pytest.mark.parametrize("sg", ["none", "sg_first", "sg_second"])
@@ -359,6 +344,15 @@ def test_non_finite_state_raises_with_timestep(t_bad, ring_model20):
             guided_sample(NanAt(ring_model20, t_bad), cfg, dim=2, chains=3, seed=0)
 
 
+@pytest.mark.parametrize("t_bad", [20, 9, 1])
+def test_state_with_overflowing_squared_norm_raises_with_timestep(t_bad, ring_model20):
+    # a state of about 1e200 is finite, but its squared norm is not
+    cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericDegeneracyError, match=f"squared norm at t = {t_bad}$"):
+            guided_sample(NanAt(ring_model20, t_bad, 1e200), cfg, dim=2, chains=3, seed=0)
+
+
 def test_trace_rows_hold_python_scalars(ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
     _, trace = guided_sample(ring_model20, cfg, dim=2, chains=3, seed=0, trace=True)
@@ -367,3 +361,60 @@ def test_trace_rows_hold_python_scalars(ring_model20):
         # every cell is written with repr, which round-trips a Python float
         assert (type(t), type(w_t)) == (int, float)
         assert [type(v) for v in cells] == [float] * 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 7, 19, 20, 23]),  # T = 20: 1, 2, a prime, T - 1, T, > T
+    n=st.sampled_from([1, 3]),
+    m=st.sampled_from([1, 2]),
+    mode=st.sampled_from(["fixed", "switch_off", "variance"]),
+    kind=st.sampled_from(["self", "naive"]),
+    w=st.sampled_from([0.0, 0.5]),
+)
+def test_window_size_leaves_samples_and_trace_unchanged(ring_model20, width, n, m, mode, kind, w):
+    # switch_off at t_mid = 8 skips the guidance rows of t < 8
+    cfg = GuidanceConfig(w=w, schedule_mode=mode, t_mid=8, n=n, s_fraction=0.6, mc_samples=m, kind=kind)
+    runs = []
+    for min_rows in (width, 10**6):  # the second is one window per tape
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampler, "WINDOW_BYTES", 0)
+            mp.setattr(sampler, "WINDOW_MIN_ROWS", min_rows)
+            runs.append(guided_sample(ring_model20, cfg, dim=2, chains=3, seed=11, trace=True))
+    (x, trace), (whole_x, whole_trace) = runs
+    assert x.tobytes() == whole_x.tobytes()
+    assert len(trace) == len(whole_trace)
+    assert np.array_equal(np.array(trace), np.array(whole_trace), equal_nan=True)
+
+
+def test_tape_rows_match_one_draw_and_are_taken_in_order():
+    rngs = [chain_rngs(3, c)[1] for c in range(2)]
+    whole = np.stack([r.standard_normal((10, 2, 3)) for r in rngs], axis=2)  # (rows, m, chains, D)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "WINDOW_BYTES", 0)
+        mp.setattr(sampler, "WINDOW_MIN_ROWS", 4)
+        tape = sampler._Tape([chain_rngs(3, c)[1] for c in range(2)], 10, (2, 3))
+    assert len(tape.buf) == 4
+    for j in (0, 1, 5, 9):  # rows 2..4 and 6..8 are drawn over
+        assert np.array_equal(tape.row(j), whole[j])
+    for j in (7, 10):  # drawn over, and past the end
+        with pytest.raises(IndexError):
+            tape.row(j)
+
+
+def test_tape_memory_stays_under_the_whole_tapes():
+    # 256 KB rows, so 32-row windows of 8 MB per tape; the generators kept
+    # for the run add about 4 MiB. Guidance runs at t >= 170, but its tape
+    # keeps a row per step, so the whole tapes would hold 2 x 200 rows.
+    sched = build_schedule("cosine", 200)
+    chains, dim = 2000, 16
+    gauss = GmmSpec(weights=np.array([1.0]), means=np.zeros((1, dim)), variances=np.array([1.0]))
+    cfg = GuidanceConfig(w=0.2, schedule_mode="switch_off", t_mid=170, n=1, s_fraction=0.5)
+    whole = 2 * chains * sched.T * dim * 8  # transition and guidance tapes, drawn whole
+    tracemalloc.start()
+    try:
+        guided_sample(GmmScoreModel(gauss, sched), cfg, dim=dim, chains=chains, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 3, f"peak {peak / 2**20:.1f} MiB, whole tapes {whole / 2**20:.1f} MiB"
