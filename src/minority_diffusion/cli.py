@@ -23,6 +23,7 @@ from .errors import (
 from .evaluation import verify_corollary1, verify_prop1
 from .harness import RECIPE_BASES, RECIPES, evaluate, read_samples, run_experiment, score_model, to_json
 from .models import MlpEpsModel, TrainOptions, train_dsm
+from .sampler import stream
 from .schedule import perturb
 
 EXIT_CONFIG = 2
@@ -116,7 +117,7 @@ def _cmd_train(args) -> int:
         raise ConfigError("--train-size must be >= 1")
     spec = cfg.gmm_spec()
     sched = cfg.noise_schedule()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 11]))
+    rng = stream(cfg.run_seed, 11, 2)
     data = spec.sample(args.train_size, rng)
     model = MlpEpsModel(sched, dim=spec.dim, seed=cfg.run_seed)
     history = train_dsm(model, data, sched, opts, rng)
@@ -150,7 +151,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = score_model(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 13]))
+    rng = stream(cfg.run_seed, 13, 2)
     x0 = cfg.gmm_spec().sample(1, rng)[0]
     if args.mode == "prop1":
         report = verify_prop1(x0, model, rng, m=args.mc)

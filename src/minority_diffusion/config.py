@@ -120,7 +120,7 @@ class ExperimentConfig:
         return GuidanceConfig(
             w=self.guidance_w,
             schedule_mode=self.guidance_schedule,
-            t_mid=self.guidance_t_mid or None,
+            t_mid=self.guidance_t_mid,
             n=self.guidance_interval,
             s_fraction=self.guidance_s_fraction,
             sg_mode=self.guidance_sg,

@@ -10,6 +10,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
 from .minority import round_trip, tweedie
 from .models import ScoreModel
+from .sampler import stream
 from .schedule import perturb
 
 
@@ -27,8 +28,7 @@ def reference_set(cfg: ExperimentConfig, samples: np.ndarray):
     check_reference_room(cfg, len(samples))
     if cfg.eval_reference == "generated":
         return samples, 0
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 2]))
-    real = cfg.gmm_spec().sample(cfg.eval_reference_size, rng)
+    real = cfg.gmm_spec().sample(cfg.eval_reference_size, stream(cfg.run_seed, 2**32 - 2))
     return (np.concatenate([samples, real]), 0) if cfg.eval_reference == "pooled" else (real, None)
 
 

@@ -80,8 +80,12 @@ def perturbed_params(spec: GmmSpec, t, sched: NoiseSchedule):
 
 def _columns(x, dim: int) -> np.ndarray:
     """The rows of x (..., dim) as a C-ordered (dim, N) array, N >= 2: a
-    lone row is doubled, so it reduces as it would in any batch."""
-    rows = np.asarray(x, float).reshape(-1, dim)
+    lone row is doubled, so it reduces as it would in any batch. Rows of
+    another width raise ValueError."""
+    x = np.asarray(x, float)
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"rows of shape {x.shape} for a {dim}-D mixture")
+    rows = x.reshape(-1, dim)
     if rows.shape[0] == 1:
         rows = np.concatenate([rows, rows])
     return np.ascontiguousarray(rows.T)

@@ -25,13 +25,13 @@ import numpy as np
 
 from .checkpoint import atomic_write, load_checkpoint
 from .config import ExperimentConfig
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, NumericDegeneracyError
 from .evaluation import avg_knn_batch, check_reference_room, lof_batch, reference_set
 # the benchmark's tracer wraps this module's log_density_gmm, so the name stays
 from .gmm import log_density as log_density_gmm
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel, ScoreModel
-from .sampler import TRACE_HEADER, guidance_plan, guided_sample
+from .sampler import TRACE_HEADER, guidance_plan, guided_sample, stream
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -153,12 +153,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     gcfg = cfg.guidance_config()
 
     samples, trace_rows = guided_sample(
-        model,
-        gcfg,
-        dim=cfg.gmm_spec().dim,
-        chains=cfg.run_chains,
-        seed=cfg.run_seed,
-        trace=cfg.run_trace,
+        model, gcfg, chains=cfg.run_chains, seed=cfg.run_seed, trace=cfg.run_trace
     )
 
     # snapshot before the metric evaluation below adds further model calls,
@@ -166,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     forward_calls = model.forward_calls
     backward_calls = model.backward_calls
 
-    eval_rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
+    eval_rng = stream(cfg.run_seed, 2**32 - 1)
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
     noised = perturb(samples, t_metric, eval_rng.standard_normal(samples.shape), sched)
     eps = eval_rng.standard_normal((cfg.eval_metric_mc,) + samples.shape)
@@ -192,13 +187,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
 
 def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
     """(log_density, avg_knn, lof) of each sample, against the eval.reference
-    set; `sample` and `eval` both evaluate through here."""
+    set; `sample` and `eval` both evaluate through here. A log density or
+    LOF that is not finite raises NumericDegeneracyError."""
     refset, offset = reference_set(cfg, samples)
-    return (
-        log_density_gmm(samples, cfg.gmm_spec()),
-        avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset),
-        lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_density = log_density_gmm(samples, cfg.gmm_spec())
+    if not np.isfinite(log_density).all():
+        raise NumericDegeneracyError(
+            "non-finite log density: a sample is not finite, or its squared distance to a mean overflows"
+        )
+    avg_knn = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)
+    lof = lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset)
+    if not np.isfinite(lof).all():
+        # a point with eval.lof_k copies besides itself has infinite local density
+        raise NumericDegeneracyError("infinite LOF: a sample neighbours eval.lof_k + 1 or more copies of one point")
+    return log_density, avg_knn, lof
 
 
 def write_report(report: RunReport, out_dir: str) -> None:
@@ -295,8 +298,7 @@ def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
     log-density descent, with the naive scale calibrated to match the
     proposed sampler's mean density shift."""
     spec = base.gmm_spec()
-    data_rng = np.random.default_rng(np.random.SeedSequence([base.run_seed, 7]))
-    data = spec.sample(200_000, data_rng)
+    data = spec.sample(200_000, stream(base.run_seed, 7, 2))
     threshold = float(np.quantile(log_density_gmm(data, spec), 0.001))
 
     baseline = run_experiment(

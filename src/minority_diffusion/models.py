@@ -1,7 +1,8 @@
 """Score / noise-predictor models.
 
-A model is the one carrier of its noise schedule: every function that takes
-a model reads the schedule as model.sched, so the two cannot disagree.
+A model is the one carrier of its noise schedule and of the dimension of
+its data: every function that takes a model reads them as model.sched and
+model.dim, so neither can disagree with it.
 
 Every model implements only linearize(x, t) -> (eps, vjp), which evaluates
 eps once and returns its input pullback as a closure (in the style of
@@ -42,10 +43,11 @@ def eps_to_score(eps: np.ndarray, alpha_bar) -> np.ndarray:
 
 
 class ScoreModel:
-    """Behavioral interface binding a noise predictor to a schedule."""
+    """Behavioral interface binding a noise predictor to a schedule and a data dimension."""
 
-    def __init__(self, sched: NoiseSchedule):
+    def __init__(self, sched: NoiseSchedule, dim: int):
         self.sched = sched
+        self.dim = dim
 
     def eps(self, x: np.ndarray, t) -> np.ndarray:
         return self.linearize(x, t)[0]
@@ -67,7 +69,7 @@ class GmmScoreModel(ScoreModel):
     """Exact score model for an isotropic Gaussian mixture."""
 
     def __init__(self, spec: GmmSpec, sched: NoiseSchedule):
-        super().__init__(sched)
+        super().__init__(sched, spec.dim)
         self.spec = spec
 
     def linearize(self, x, t):
@@ -83,7 +85,7 @@ class CallCountingModel(ScoreModel):
     input_vjp counts one forward and one backward."""
 
     def __init__(self, inner: ScoreModel):
-        super().__init__(inner.sched)
+        super().__init__(inner.sched, inner.dim)
         self.inner = inner
         self.forward_calls = 0
         self.backward_calls = 0
@@ -141,8 +143,7 @@ class MlpEpsModel(ScoreModel):
         emb_dim: int = 16,
         seed: int = 0,
     ):
-        super().__init__(sched)
-        self.dim = dim
+        super().__init__(sched, dim)
         self.hidden = tuple(hidden)
         self.emb_dim = emb_dim
         self.seed = seed

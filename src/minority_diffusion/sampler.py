@@ -14,7 +14,6 @@ w = 0 sampler is bit-identical to plain ancestral sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ GUIDANCE_KINDS = ("self", "naive")
 class GuidanceConfig:
     w: float = 0.2
     schedule_mode: str = "variance"
-    t_mid: Optional[int] = None
+    t_mid: int = 0  # 0 = unset
     n: int = 5
     s_fraction: float = 0.8
     sg_mode: str = "sg_second"
@@ -58,11 +57,25 @@ class GuidanceConfig:
             raise ConfigError("mc_samples must be >= 1")
 
 
-def chain_rngs(seed: int, chain: int):
-    """Independent (transition-noise, guidance-noise) streams for one chain."""
-    rng_z = np.random.default_rng(np.random.SeedSequence([int(seed), int(chain), 0]))
-    rng_g = np.random.default_rng(np.random.SeedSequence([int(seed), int(chain), 1]))
-    return rng_z, rng_g
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream of `key` in the run of `seed`: a generator seeded
+    with SeedSequence([seed, *key]). Every stream of a run is keyed here:
+
+      key           stream                            drawn by
+      (c, 0)        chain c's transition noise        guided_sample
+      (c, 1)        chain c's guidance noise          guided_sample
+      (2**32 - 1,)  per-sample metric noise           harness.run_experiment
+      (2**32 - 2,)  real reference points             evaluation.reference_set
+      (7, 2)        naive-contrast data               harness.recipe_naive_contrast
+      (11, 2)       training data and minibatches     cli train
+      (13, 2)       verify draws                      cli verify
+
+    SeedSequence pads entropy shorter than four words with zero words, so
+    keys that differ only in trailing zeros are one stream: (7,) is chain
+    7's transition noise (7, 0). A two-word key whose last word is 2 or
+    more equals no chain's key.
+    """
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def weight(t: int, cfg: GuidanceConfig, sched: NoiseSchedule) -> float:
@@ -70,7 +83,7 @@ def weight(t: int, cfg: GuidanceConfig, sched: NoiseSchedule) -> float:
     if cfg.schedule_mode == "fixed":
         return cfg.w
     if cfg.schedule_mode == "switch_off":
-        if cfg.t_mid is None or not (1 <= cfg.t_mid <= sched.T):
+        if not 1 <= cfg.t_mid <= sched.T:
             raise ConfigError(f"switch_off needs guidance.t_mid in 1..T = 1..{sched.T}, got {cfg.t_mid}")
         return cfg.w if t >= cfg.t_mid else 0.0
     return cfg.w * float(sched.beta(t))
@@ -199,7 +212,6 @@ class _Tape:
 def guided_sample(
     model: ScoreModel,
     cfg: GuidanceConfig,
-    dim: int,
     chains: int,
     seed: int,
     trace: bool = False,
@@ -207,9 +219,9 @@ def guided_sample(
     """Run `chains` independent guided reverse chains; returns (samples, trace).
 
     All chains are advanced together. Each chain draws a transition-noise
-    tape of T rows of `dim` values from its first stream and, under self
-    guidance, a guidance-noise tape of one (mc_samples, dim) row per
-    guided_steps entry from its second, so the batched loop matches
+    tape of T rows of model.dim values from its stream (c, 0) and, under
+    self guidance, a guidance-noise tape of one (mc_samples, model.dim) row
+    per guided_steps entry from its stream (c, 1), so the batched loop matches
     chain-by-chain execution exactly. The tapes are drawn a window of steps
     at a time (see _Tape), and the outputs are those of drawing them whole.
     Tape memory is at most two windows, one per tape, of WINDOW_BYTES or
@@ -229,13 +241,13 @@ def guided_sample(
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
-    T = model.sched.T
+    T, dim = model.sched.T, model.dim
     plan = guidance_plan(cfg, model.sched)
-    rng_z, rng_g = zip(*(chain_rngs(seed, c) for c in range(chains)))
-    noise = _Tape(rng_z, T, (dim,))
+    noise = _Tape([stream(seed, c, 0) for c in range(chains)], T, (dim,))
     eps_tape = None
     if plan and cfg.kind == "self":
-        eps_tape = _Tape(rng_g, T // cfg.n, (cfg.mc_samples, dim))  # a row per guided_steps entry
+        # a row per guided_steps entry
+        eps_tape = _Tape([stream(seed, c, 1) for c in range(chains)], T // cfg.n, (cfg.mc_samples, dim))
 
     x = noise.row(0).copy()
     recorded = []

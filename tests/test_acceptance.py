@@ -60,7 +60,7 @@ def mean_density(w, t_mid=60, sg_mode="sg_second", n=1, kind="self"):
         n=n,
         kind=kind,
     )
-    x, _ = guided_sample(RING_LIN, cfg, dim=2, chains=CHAINS, seed=SEED)
+    x, _ = guided_sample(RING_LIN, cfg, chains=CHAINS, seed=SEED)
     return float(np.mean(log_density_gmm(x, RING))), x
 
 
@@ -152,7 +152,7 @@ def test_criterion_04_guidance_scale_trend(capsys):
     stats = []
     for w in (0.0, 4.0, 8.0):
         cfg = GuidanceConfig(w=w, schedule_mode="variance", s_fraction=0.5, n=5)
-        x, _ = guided_sample(RING_COS, cfg, dim=2, chains=CHAINS, seed=SEED)
+        x, _ = guided_sample(RING_COS, cfg, chains=CHAINS, seed=SEED)
         ld = log_density_gmm(x, RING)
         knn = avg_knn_batch(x, np.concatenate([x, reference]), 5, self_offset=0)
         stats.append(
@@ -253,7 +253,7 @@ def test_criterion_08_intermittent_guidance(capsys):
     for n in (1, 5):
         counted = CallCountingModel(RING_COS)
         cfg = GuidanceConfig(w=0.2, schedule_mode="variance", s_fraction=0.5, n=n)
-        guided_sample(counted, cfg, dim=2, chains=2, seed=SEED)
+        guided_sample(counted, cfg, chains=2, seed=SEED)
         evals = (counted.forward_calls - T) // 2  # two metric forwards per eval
         counts_ok = counts_ok and evals == len(guided_steps(T, n))
         counts_ok = counts_ok and counted.backward_calls == len(guided_steps(T, n))
@@ -274,56 +274,20 @@ def test_criterion_08_intermittent_guidance(capsys):
 
 
 def test_criterion_09_ancestral_baseline(capsys):
-    x, _ = guided_sample(UNIT_COS, GuidanceConfig(w=0.0), dim=2, chains=10_000, seed=SEED)
+    x, _ = guided_sample(UNIT_COS, GuidanceConfig(w=0.0), chains=10_000, seed=SEED)
     mean = x.mean(axis=0)
     var = x.var(axis=0, ddof=1)
     ok = bool(np.all(np.abs(mean) < 0.05) and np.all(np.abs(var - 1.0) < 0.05))
     report(capsys, 9, ok, f"mean {mean.round(4).tolist()}, var {var.round(4).tolist()}")
 
 
-def test_criterion_10_neighborhood_oracles(capsys):
+def test_criterion_10_neighborhood_oracles(capsys, brute_avg_knn, brute_lof, random_instance):
     # exact agreement with O(N^2) brute force, duplicates included; the
     # Euclidean distance primitive is shared so equality is well defined
-    def dist_row(point, refset):
-        return np.linalg.norm(refset - point, axis=1)
-
-    def brute_avg_knn(query, refset, k):
-        row = dist_row(query, refset)
-        pairs = sorted((float(row[i]), i) for i in range(len(refset)))
-        return float(np.mean(np.array([d for d, _ in pairs[:k]])))
-
-    def brute_lof(query, refset, k):
-        n = len(refset)
-
-        def neighbors(point, skip):
-            row = dist_row(point, refset)
-            pairs = sorted((float(row[j]), j) for j in range(n) if j not in skip)
-            return [j for _, j in pairs[:k]], pairs[k - 1][0]
-
-        nbrs, kdist = {}, {}
-        for i in range(n):
-            nbrs[i], kdist[i] = neighbors(refset[i], {i})
-
-        def lrd(point, nb):
-            row = dist_row(point, refset)
-            mean_reach = float(np.mean(np.array([max(kdist[j], float(row[j])) for j in nb])))
-            return np.inf if mean_reach == 0.0 else 1.0 / mean_reach
-
-        ref_lrd = {i: lrd(refset[i], nbrs[i]) for i in range(n)}
-        q_nbrs, _ = neighbors(query, set())
-        lrd_q = lrd(query, q_nbrs)
-        if np.isinf(lrd_q):
-            return 1.0
-        return float(np.mean(np.array([ref_lrd[j] for j in q_nbrs])) / lrd_q)
-
     rng = np.random.default_rng(10)
     exact = 0
     for _ in range(200):
-        n = int(rng.integers(8, 65))
-        pts = rng.normal(size=(n, 2))
-        if rng.random() < 0.3:
-            dup = int(rng.integers(1, min(5, n)))
-            pts[:dup] = pts[dup : 2 * dup]
+        pts = random_instance(rng)
         q = rng.normal(size=2)
         k = int(rng.integers(2, 6))
         knn_match = avg_knn_batch(q[None], pts, k)[0] == brute_avg_knn(q, pts, k)

@@ -1,10 +1,10 @@
 """Evaluation unit tests.
 
 Neighborhood metrics are compared against independent O(N^2) brute-force
-implementations written here, including a property test on tie-heavy
-inputs; the reconstruction/noise identity against exact closed forms for
-the unit Gaussian (via a cubature that is exact for quadratics in the
-noise).
+implementations (the oracle fixtures of conftest.py), including a property
+test on tie-heavy inputs; the reconstruction/noise identity against exact
+closed forms for the unit Gaussian (via a cubature that is exact for
+quadratics in the noise).
 """
 
 import hypothesis.extra.numpy as hnp
@@ -29,62 +29,6 @@ from minority_diffusion.models import GmmScoreModel
 from minority_diffusion.schedule import build_schedule, perturb
 
 
-# ---- brute-force references ----------------------------------------------
-#
-# Selection, tie-breaking, exclusion and reachability are all re-derived
-# naively here; the Euclidean distance primitive is shared with the
-# implementation (vectorized and row-wise norms differ in the last ulp,
-# which would make an "exact match" assertion meaningless).
-
-
-def dist_row(point, refset):
-    return np.linalg.norm(refset - point, axis=1)
-
-
-def brute_avg_knn(query, refset, k, exclude_index=None):
-    row = dist_row(query, refset)
-    dists = [(float(row[i]), i) for i in range(len(refset)) if i != exclude_index]
-    dists.sort()  # ties by distance then index
-    return float(np.mean(np.array([d for d, _ in dists[:k]])))
-
-
-def brute_lof(query, refset, k, exclude_index=None):
-    n = len(refset)
-
-    def neighbors(point, skip):
-        row = dist_row(point, refset)
-        dists = sorted((float(row[j]), j) for j in range(n) if j not in skip)
-        top = dists[:k]
-        return [j for _, j in top], top[-1][0]
-
-    nbrs, kdist = {}, {}
-    for i in range(n):
-        nbrs[i], kdist[i] = neighbors(refset[i], {i})
-
-    def lrd(point, nb, skip):
-        row = dist_row(point, refset)
-        reach = [max(kdist[j], float(row[j])) for j in nb]
-        mean_reach = float(np.mean(np.array(reach)))
-        return np.inf if mean_reach == 0.0 else 1.0 / mean_reach
-
-    ref_lrd = {i: lrd(refset[i], nbrs[i], {i}) for i in range(n)}
-    skip = set() if exclude_index is None else {exclude_index}
-    q_nbrs, _ = neighbors(query, skip)
-    lrd_q = lrd(query, q_nbrs, skip)
-    if np.isinf(lrd_q):
-        return 1.0
-    return float(np.mean([ref_lrd[j] for j in q_nbrs]) / lrd_q)
-
-
-def random_instance(rng):
-    n = int(rng.integers(8, 64))
-    pts = rng.normal(size=(n, 2))
-    if rng.random() < 0.3:  # inject exact duplicates
-        dup = int(rng.integers(1, min(5, n)))
-        pts[:dup] = pts[dup : 2 * dup]
-    return pts
-
-
 # ---- kNN / LOF ------------------------------------------------------------
 
 
@@ -97,7 +41,7 @@ def lof1(query, refset, k, exclude_index=None):
     return lof_batch(np.asarray(query)[None], refset, k, self_offset=exclude_index)[0]
 
 
-def test_avg_knn_matches_brute_force():
+def test_avg_knn_matches_brute_force(brute_avg_knn, random_instance):
     rng = np.random.default_rng(0)
     for _ in range(40):
         pts = random_instance(rng)
@@ -110,7 +54,7 @@ def test_avg_knn_matches_brute_force():
         )
 
 
-def test_lof_matches_brute_force():
+def test_lof_matches_brute_force(brute_lof, random_instance):
     rng = np.random.default_rng(1)
     for _ in range(25):
         pts = random_instance(rng)
@@ -157,7 +101,7 @@ def test_neighbor_metrics_reject_non_finite_points():
         lof_batch(pts[:2], pts, 3, self_offset=0)
 
 
-def test_neighbor_metrics_evaluate_exactly_below_overflow():
+def test_neighbor_metrics_evaluate_exactly_below_overflow(brute_avg_knn, brute_lof):
     # squared distances of about 1e301 are finite
     pts = np.random.default_rng(12).uniform(-1.0, 1.0, size=(40, 2)) * 1e150
     knn = avg_knn_batch(pts, pts, 5, self_offset=0)
@@ -192,7 +136,7 @@ def test_neighbor_search_rejects_a_tree_without_finite_neighbours(monkeypatch):
         avg_knn_batch(pts, pts, 3, self_offset=0)
 
 
-def test_batch_versions_match_single_query():
+def test_batch_versions_match_single_query(brute_avg_knn, brute_lof):
     rng = np.random.default_rng(3)
     refset = rng.normal(size=(80, 2))
     queries = rng.normal(size=(17, 2))
@@ -203,7 +147,7 @@ def test_batch_versions_match_single_query():
         assert lof_b[i] == pytest.approx(brute_lof(q, refset, 7), rel=1e-12)
 
 
-def test_batch_self_exclusion_pooled_mode():
+def test_batch_self_exclusion_pooled_mode(brute_avg_knn, brute_lof):
     # queries form a contiguous slice of the reference set starting at offset 0
     rng = np.random.default_rng(4)
     samples = rng.normal(size=(30, 2))
@@ -218,7 +162,7 @@ def test_batch_self_exclusion_pooled_mode():
         )
 
 
-def test_knn_chunking_is_transparent(monkeypatch):
+def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
     rng = np.random.default_rng(5)
     # large N on the tree's candidates; at the default chunk all 3000 rows
     # fit one block
@@ -254,7 +198,7 @@ def test_knn_chunking_is_transparent(monkeypatch):
         assert b[i] == brute_avg_knn(twice[i], twice, 5, exclude_index=i)
 
 
-def test_tied_rows_widen_on_the_tree_then_scan_in_full():
+def test_tied_rows_widen_on_the_tree_then_scan_in_full(brute_avg_knn):
     rng = np.random.default_rng(14)
     grid = np.round(rng.normal(size=(400, 2)), 1)
     # 45 points at the origin tie until the width covers all of them, so
@@ -292,7 +236,7 @@ def tie_heavy_instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_instances())
-def test_neighbor_search_exact_on_ties_and_duplicates(instance):
+def test_neighbor_search_exact_on_ties_and_duplicates(brute_avg_knn, brute_lof, instance):
     queries, refset, k, self_offset = instance
     knn_b = avg_knn_batch(queries, refset, k, self_offset=self_offset)
     lof_b = lof_batch(queries, refset, k, self_offset=self_offset)

@@ -305,3 +305,14 @@ def test_benchmarks():
 def test_spec_arrays_are_frozen(spec3):
     with pytest.raises(ValueError):
         spec3.weights[0] = 0.9
+
+
+def test_kernel_rejects_rows_of_another_width(ring, sched20):
+    # a (2, 4) array is not two 2-D rows reshaped, nor (4, 1) two of them
+    with pytest.raises(ValueError, match="2-D mixture"):
+        log_density(np.ones((2, 4)), ring)
+    with pytest.raises(ValueError, match="2-D mixture"):
+        score_and_hvp(np.ones((4, 1)), ring, 5, sched20)
+    _, hvp = score_and_hvp(np.ones((4, 2)), ring, 5, sched20)
+    with pytest.raises(ValueError, match="2-D mixture"):
+        hvp(np.ones((2, 4)))

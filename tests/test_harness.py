@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minority_diffusion
-from minority_diffusion import checkpoint, harness, sampler
+from minority_diffusion import checkpoint, cli, harness, sampler
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
@@ -19,7 +19,7 @@ from minority_diffusion.evaluation import check_reference_room, reference_set, v
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
-from minority_diffusion.sampler import guided_steps, weight
+from minority_diffusion.sampler import guided_steps, stream, weight
 from minority_diffusion.schedule import build_schedule, perturb
 
 SMALL = {
@@ -438,7 +438,7 @@ def test_per_sample_metric_noise_stream(mc):
     cfg = small_config(**{"eval.metric_mc": str(mc)})
     report = run_experiment(cfg)
     spec, sched = cfg.gmm_spec(), cfg.noise_schedule()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 2**32 - 1]))
+    rng = stream(cfg.run_seed, 2**32 - 1)
     z = rng.standard_normal(report.samples.shape)
     eps = rng.standard_normal((mc,) + report.samples.shape)
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
@@ -544,6 +544,42 @@ def test_cli_unguided_sample_takes_any_interval(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["backward_calls"] == 0
 
 
+class _Keyed(Exception):
+    """Raised by a stand-in for `stream` once it has seen its first key."""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_streams_differ_from_every_sampling_stream(tmp_path, monkeypatch, seed):
+    # SeedSequence pads short entropy with zeros, so a key such as (7,) would
+    # draw chain 7's transition noise (7, 0); streams are compared by their
+    # first state words
+    def state(*key):
+        return tuple(stream(seed, *key).bit_generator.seed_seq.generate_state(4))
+
+    keys = []
+
+    def first_key(run_seed, *key):
+        assert run_seed == seed
+        keys.append(key)
+        raise _Keyed
+
+    monkeypatch.setattr(harness, "stream", first_key)
+    monkeypatch.setattr(cli, "stream", first_key)
+    cfg_path = write_small_config(tmp_path)
+    common = ["--config", str(cfg_path), "--seed", str(seed)]
+    for run in (
+        lambda: harness.recipe_naive_contrast(str(tmp_path / "recipe"), small_config(**{"run.seed": str(seed)})),
+        lambda: main(["train", *common, "--out", str(tmp_path / "m.ckpt")]),
+        lambda: main(["verify", *common]),
+    ):
+        with pytest.raises(_Keyed):
+            run()
+    sampling = {state(c, j) for c in range(64) for j in (0, 1)} | {state(2**32 - 1), state(2**32 - 2)}
+    assert len(keys) == 3 and len({state(*key) for key in keys}) == 3
+    for key in keys:
+        assert state(*key) not in sampling, key
+
+
 def test_cli_verify_uses_model_kind(tmp_path, capsys):
     # verify builds its model from model.kind, as sample does
     cfg_path = write_small_config(tmp_path)
@@ -555,7 +591,7 @@ def test_cli_verify_uses_model_kind(tmp_path, capsys):
     assert main([*verify, "--set", "model.kind=mlp", "--set", f"model.checkpoint={ckpt}"]) == 0
     got = json.loads(capsys.readouterr().out)
     cfg = small_config()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.run_seed, 13]))
+    rng = stream(cfg.run_seed, 13, 2)
     x0 = cfg.gmm_spec().sample(1, rng)[0]
     want = verify_prop1(x0, load_checkpoint(ckpt, cfg.noise_schedule()), rng, m=2)
     assert got == {"mode": "prop1", **want}
@@ -851,6 +887,93 @@ def test_cli_eval_of_huge_samples_evaluates_or_is_numeric_error(tmp_path, capsys
     else:
         assert all(np.isfinite(v) for v in json.loads((tmp_path / "eval.json").read_text()).values()
                    if isinstance(v, float))
+
+
+@pytest.mark.parametrize("reference", ["real", "generated", "pooled"])
+def test_cli_eval_of_a_non_finite_log_density_is_numeric_error(tmp_path, capsys, reference):
+    # at (1.2e154, 0) squared distances stay finite, so the neighbour search
+    # runs, but over a component variance of 0.25 they overflow
+    cfg_path = write_small_config(tmp_path)
+    coords = np.random.default_rng(6).standard_normal((40, 2))
+    coords[-1] = (1.2e154, 0.0)
+    rows = [f"{i},{x!r},{y!r},0,0,0,0" for i, (x, y) in enumerate(coords.tolist())]
+    path = tmp_path / "samples.csv"
+    path.write_text(harness._samples_header(2) + "\n" + "\n".join(rows) + "\n")
+    args = ["eval", "--config", str(cfg_path), "--samples", str(path), "--set", f"eval.reference={reference}"]
+    assert main(args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric degeneracy") and "log density" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("reference", ["generated", "pooled"])
+def test_cli_eval_of_an_infinite_lof_is_numeric_error(tmp_path, capsys, reference):
+    # five copies of the origin (eval.lof_k = 4) have infinite local
+    # density, so the LOF of the sample next to them is inf
+    cfg_path = write_small_config(tmp_path)
+    rows = [f"{i},0.0,0.0,0,0,0,0" for i in range(5)] + ["5,0.0,1.0,0,0,0,0"]
+    path = tmp_path / "samples.csv"
+    path.write_text(harness._samples_header(2) + "\n" + "\n".join(rows) + "\n")
+    args = ["eval", "--config", str(cfg_path), "--samples", str(path), "--set", f"eval.reference={reference}"]
+    assert main(args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric degeneracy") and "LOF" in err and "Traceback" not in err
+
+
+_HEADER = ["chain", "x0", "x1", "log_density", "metric", "avg_knn", "lof"]
+_HOSTILE_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e154", "-1e154", "5e-324",
+                  "2.2250738585072014e-308", "0x1p-3", ""]
+
+
+@st.composite
+def _samples_files(draw):
+    """(bytes of a samples.csv for 2-D samples, eval.reference): rows of
+    ordinary coordinates with hostile cells, short and long rows,
+    duplicate rows and a damaged header mixed in, CRLF and a BOM."""
+    header = list(_HEADER)
+    layout = draw(st.sampled_from(["whole", "missing", "extra"]))
+    if layout == "missing":
+        del header[draw(st.integers(0, len(header) - 1))]
+    elif layout == "extra":
+        header.insert(draw(st.integers(1, len(header))), draw(st.sampled_from(["x2", "extra", ""])))
+    coord = st.floats(-6.0, 6.0).map(repr)
+    rows = [[str(i), draw(coord), draw(coord), "0", "0", "0", "0"] for i in range(draw(st.integers(1, 24)))]
+    n = len(rows)
+    for r, c, cell in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 6),
+                                              st.sampled_from(_HOSTILE_CELLS)), max_size=3)):
+        rows[r][c] = cell
+    for src, copies in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 6)), max_size=2)):
+        rows[src + 1 : src + 1 + copies] = [list(rows[src])] * len(rows[src + 1 : src + 1 + copies])
+    for r, width in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9)), max_size=2)):
+        rows[r] = (rows[r] + ["0"] * width)[:width]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(cells) for cells in [header, *rows]) + newline
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode(), draw(st.sampled_from(["real", "generated", "pooled"]))
+
+
+def test_cli_eval_of_any_samples_file_evaluates_or_exits_cleanly(tmp_path, capsys):
+    # eval either prints finite metrics or exits 2, 3 or 4 with a message
+    # and no traceback, whatever samples.csv holds
+    cfg_path = write_small_config(tmp_path)
+    path = tmp_path / "samples.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_samples_files())
+    def check(case):
+        body, reference = case
+        path.write_bytes(body)
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--config", str(cfg_path), "--samples", str(path),
+                       "--set", f"eval.reference={reference}"])
+        out, err = capsys.readouterr()
+        assert rc in (0, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC), (case, rc, err)
+        if rc == 0:
+            metrics = json.loads(out)
+            assert all(np.isfinite(v) for v in metrics.values() if isinstance(v, float)), (case, metrics)
+        else:
+            assert err.strip() and "Traceback" not in err
+
+    check()
 
 
 def test_cli_sample_non_finite_state_is_numeric_error(tmp_path, capsys, monkeypatch):

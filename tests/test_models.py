@@ -89,6 +89,14 @@ def test_mlp_batched_matches_single_rows(mlp20):
         np.testing.assert_allclose(mixed[i], mlp20.eps(x[i], int(ts[i])), rtol=1e-12)
 
 
+def test_every_model_carries_its_dimension(ring_model20, mlp20, sched20):
+    spec16 = gmm.GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 16)), variances=np.array([1.0]))
+    assert ring_model20.dim == 2 and mlp20.dim == 2
+    assert GmmScoreModel(spec16, sched20).dim == 16
+    assert CallCountingModel(GmmScoreModel(spec16, sched20)).dim == 16
+    assert MlpEpsModel(sched20, dim=3, hidden=(4,), emb_dim=4).dim == 3
+
+
 def test_sinusoidal_embedding_shape_and_range():
     emb = sinusoidal_embedding([1, 5, 250], 16)
     assert emb.shape == (3, 16)
@@ -257,7 +265,7 @@ def test_mlp_buffer_pool_does_not_grow_with_steps(mc, held):
     for T in (10, 40):
         sched = build_schedule("cosine", T)
         model = MlpEpsModel(sched, dim=2, hidden=(16, 16), emb_dim=8, seed=5)
-        guided_sample(model, GuidanceConfig(w=1.0, n=1, mc_samples=mc), dim=2, chains=12, seed=0)
+        guided_sample(model, GuidanceConfig(w=1.0, n=1, mc_samples=mc), chains=12, seed=0)
         pools.append({shape: len(free) for shape, free in model._pool.items()})
     assert pools[0] == pools[1] == {(12, 16): held}
 

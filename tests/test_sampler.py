@@ -21,13 +21,13 @@ from minority_diffusion.models import CallCountingModel, GmmScoreModel, ScoreMod
 from minority_diffusion.sampler import (
     GuidanceConfig,
     _normalize_linf,
-    chain_rngs,
     guidance,
     guidance_plan,
     guided_sample,
     guided_steps,
     naive_density_guidance,
     reverse_step,
+    stream,
     weight,
 )
 from minority_diffusion.schedule import build_schedule
@@ -160,10 +160,10 @@ def test_guidance_noise_rows_follow_the_tape(monkeypatch, ring_model20, sched20,
     monkeypatch.setattr(sampler, "guidance", spy)
     cfg = GuidanceConfig(w=0.5, schedule_mode=mode, t_mid=8, n=n, s_fraction=0.6, mc_samples=m)
     T, chains, seed = sched20.T, 3, 5
-    guided_sample(ring_model20, cfg, dim=2, chains=chains, seed=seed)
+    guided_sample(ring_model20, cfg, chains=chains, seed=seed)
     assert sorted(seen, reverse=True) == [t for t in guided_steps(T, n) if weight(t, cfg, sched20) != 0.0]
     for c in range(chains):
-        tape = chain_rngs(seed, c)[1].standard_normal((T // n, m, 2))
+        tape = stream(seed, c, 1).standard_normal((T // n, m, 2))
         for t, eps in seen.items():
             assert np.array_equal(eps[:, c], tape[T // n - t // n])
 
@@ -211,11 +211,11 @@ def test_reverse_step_rejects_t_below_one(t, unit_model20):
 def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20, ring):
     chains, seed = 6, 42
     batched, trace = guided_sample(
-        ring_model20, GuidanceConfig(w=0.0), dim=2, chains=chains, seed=seed
+        ring_model20, GuidanceConfig(w=0.0), chains=chains, seed=seed
     )
     assert trace == []
     for c in range(chains):
-        rng_z, _ = chain_rngs(seed, c)
+        rng_z = stream(seed, c, 0)
         x = rng_z.standard_normal(2)
         for t in range(sched20.T, 0, -1):
             z = rng_z.standard_normal(2) if t > 1 else None
@@ -225,25 +225,25 @@ def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20
 
 def test_zero_weight_never_touches_guidance(ring_model20, sched20):
     counted = CallCountingModel(ring_model20)
-    guided_sample(counted, GuidanceConfig(w=0.0), dim=2, chains=3, seed=0)
+    guided_sample(counted, GuidanceConfig(w=0.0), chains=3, seed=0)
     assert counted.forward_calls == sched20.T
     assert counted.backward_calls == 0
 
 
 def test_guided_sampler_is_deterministic(ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=4, s_fraction=0.6)
-    a, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=3)
-    b, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=3)
+    a, _ = guided_sample(ring_model20, cfg, chains=4, seed=3)
+    b, _ = guided_sample(ring_model20, cfg, chains=4, seed=3)
     np.testing.assert_array_equal(a, b)
-    c, _ = guided_sample(ring_model20, cfg, dim=2, chains=4, seed=4)
+    c, _ = guided_sample(ring_model20, cfg, chains=4, seed=4)
     assert not np.array_equal(a, c)
 
 
 def test_extra_chains_leave_existing_chains_untouched(ring_model20):
     # per-chain streams depend only on (seed, chain index)
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=4, s_fraction=0.6)
-    small, _ = guided_sample(ring_model20, cfg, dim=2, chains=3, seed=3)
-    big, _ = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=3)
+    small, _ = guided_sample(ring_model20, cfg, chains=3, seed=3)
+    big, _ = guided_sample(ring_model20, cfg, chains=5, seed=3)
     np.testing.assert_array_equal(small, big[:3])
 
 
@@ -261,7 +261,7 @@ def test_naive_guidance_is_normalized_descent(ring_model20):
 
 def test_trace_rows_cover_guided_steps(ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
-    _, trace = guided_sample(ring_model20, cfg, dim=2, chains=2, seed=0, trace=True)
+    _, trace = guided_sample(ring_model20, cfg, chains=2, seed=0, trace=True)
     assert [row[0] for row in trace] == guided_steps(sched20.T, 5)
     for _, w_t, *cells in trace:
         # mean and five quantiles each of l2, linf and the metric; l-inf
@@ -270,15 +270,15 @@ def test_trace_rows_cover_guided_steps(ring_model20, sched20):
         assert w_t == 0.5 and np.all(linf == 1.0) and np.all(l2 >= 1.0)
         assert np.all(np.isfinite(metric))
     # the same run untraced keeps nothing
-    _, untraced = guided_sample(ring_model20, cfg, dim=2, chains=2, seed=0)
+    _, untraced = guided_sample(ring_model20, cfg, chains=2, seed=0)
     assert untraced == []
 
 
 @pytest.mark.parametrize("kind", ["self", "naive"])
 def test_tracing_leaves_samples_unchanged(kind, ring_model20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=2, s_fraction=0.6, mc_samples=2, kind=kind)
-    plain, untraced = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=7)
-    traced, trace = guided_sample(ring_model20, cfg, dim=2, chains=5, seed=7, trace=True)
+    plain, untraced = guided_sample(ring_model20, cfg, chains=5, seed=7)
+    traced, trace = guided_sample(ring_model20, cfg, chains=5, seed=7, trace=True)
     assert untraced == [] and len(trace) == len(guided_steps(sched20.T, 2))
     assert np.array_equal(plain, traced)
 
@@ -288,7 +288,7 @@ def test_switch_off_skips_low_timesteps(ring_model20):
     cfg = GuidanceConfig(
         w=0.5, schedule_mode="switch_off", t_mid=11, n=1, s_fraction=0.6, mc_samples=1
     )
-    guided_sample(counted, cfg, dim=2, chains=2, seed=0)
+    guided_sample(counted, cfg, chains=2, seed=0)
     # 20 transitions + 2 tweedie forwards per active guidance step (t = 11..20)
     assert counted.forward_calls == 20 + 10 * 2
     assert counted.backward_calls == 10  # sg_second: one pullback per step
@@ -299,7 +299,7 @@ class TwoPassModel(ScoreModel):
     runs the inner model again from scratch."""
 
     def __init__(self, inner):
-        super().__init__(inner.sched)
+        super().__init__(inner.sched, inner.dim)
         self.inner = inner
 
     def eps(self, x, t):
@@ -326,9 +326,9 @@ class NanAt(TwoPassModel):
 def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6, sg_mode=sg, mc_samples=2)
     for model in (ring_model20, mlp20):
-        fast, fast_trace = guided_sample(model, cfg, dim=2, chains=5, seed=1, trace=True)
+        fast, fast_trace = guided_sample(model, cfg, chains=5, seed=1, trace=True)
         slow, slow_trace = guided_sample(
-            TwoPassModel(model), cfg, dim=2, chains=5, seed=1, trace=True
+            TwoPassModel(model), cfg, chains=5, seed=1, trace=True
         )
         np.testing.assert_array_equal(fast, slow)
         assert len(fast_trace) == len(guided_steps(sched20.T, 3))
@@ -341,7 +341,7 @@ def test_non_finite_state_raises_with_timestep(t_bad, ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericDegeneracyError, match=f"t = {t_bad}$"):
-            guided_sample(NanAt(ring_model20, t_bad), cfg, dim=2, chains=3, seed=0)
+            guided_sample(NanAt(ring_model20, t_bad), cfg, chains=3, seed=0)
 
 
 @pytest.mark.parametrize("t_bad", [20, 9, 1])
@@ -350,12 +350,12 @@ def test_state_with_overflowing_squared_norm_raises_with_timestep(t_bad, ring_mo
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericDegeneracyError, match=f"squared norm at t = {t_bad}$"):
-            guided_sample(NanAt(ring_model20, t_bad, 1e200), cfg, dim=2, chains=3, seed=0)
+            guided_sample(NanAt(ring_model20, t_bad, 1e200), cfg, chains=3, seed=0)
 
 
 def test_trace_rows_hold_python_scalars(ring_model20):
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=5, s_fraction=0.6)
-    _, trace = guided_sample(ring_model20, cfg, dim=2, chains=3, seed=0, trace=True)
+    _, trace = guided_sample(ring_model20, cfg, chains=3, seed=0, trace=True)
     assert trace
     for t, w_t, *cells in trace:
         # every cell is written with repr, which round-trips a Python float
@@ -380,7 +380,7 @@ def test_window_size_leaves_samples_and_trace_unchanged(ring_model20, width, n, 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampler, "WINDOW_BYTES", 0)
             mp.setattr(sampler, "WINDOW_MIN_ROWS", min_rows)
-            runs.append(guided_sample(ring_model20, cfg, dim=2, chains=3, seed=11, trace=True))
+            runs.append(guided_sample(ring_model20, cfg, chains=3, seed=11, trace=True))
     (x, trace), (whole_x, whole_trace) = runs
     assert x.tobytes() == whole_x.tobytes()
     assert len(trace) == len(whole_trace)
@@ -388,12 +388,12 @@ def test_window_size_leaves_samples_and_trace_unchanged(ring_model20, width, n, 
 
 
 def test_tape_rows_match_one_draw_and_are_taken_in_order():
-    rngs = [chain_rngs(3, c)[1] for c in range(2)]
+    rngs = [stream(3, c, 1) for c in range(2)]
     whole = np.stack([r.standard_normal((10, 2, 3)) for r in rngs], axis=2)  # (rows, m, chains, D)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "WINDOW_BYTES", 0)
         mp.setattr(sampler, "WINDOW_MIN_ROWS", 4)
-        tape = sampler._Tape([chain_rngs(3, c)[1] for c in range(2)], 10, (2, 3))
+        tape = sampler._Tape([stream(3, c, 1) for c in range(2)], 10, (2, 3))
     assert len(tape.buf) == 4
     for j in (0, 1, 5, 9):  # rows 2..4 and 6..8 are drawn over
         assert np.array_equal(tape.row(j), whole[j])
@@ -413,7 +413,7 @@ def test_tape_memory_stays_under_the_whole_tapes():
     whole = 2 * chains * sched.T * dim * 8  # transition and guidance tapes, drawn whole
     tracemalloc.start()
     try:
-        guided_sample(GmmScoreModel(gauss, sched), cfg, dim=dim, chains=chains, seed=0)
+        guided_sample(GmmScoreModel(gauss, sched), cfg, chains=chains, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
