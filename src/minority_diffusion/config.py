@@ -90,14 +90,17 @@ class ExperimentConfig:
     def gmm_spec(self) -> GmmSpec:
         if self.benchmark != "inline":
             return benchmark(self.benchmark)
+        key = "gmm.weights"  # the key being parsed, for the error message
         try:
             w = np.array([float(v) for v in self.gmm_weights.split(",")])
+            key = "gmm.means"
             means = np.array(
                 [[float(v) for v in row.split(",")] for row in self.gmm_means.split(";")]
             )
+            key = "gmm.variances"
             var = np.array([float(v) for v in self.gmm_variances.split(",")])
         except ValueError as exc:
-            raise ConfigError(f"malformed inline GMM spec: {exc}") from exc
+            raise ConfigError(f"{key} is malformed: {exc}") from exc
         return GmmSpec(weights=w, means=means, variances=var)
 
     def noise_schedule(self) -> NoiseSchedule:
@@ -191,13 +194,13 @@ class ExperimentConfig:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{key} must be a finite number, got {value}")
         if self.model_kind not in ("analytic", "mlp"):
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
+            raise ConfigError(f"model.kind must be analytic or mlp, got {self.model_kind!r}")
         if self.run_chains < 1:
             raise ConfigError("run.chains must be >= 1")
         if self.run_seed < 0:
             raise ConfigError("run.seed must be non-negative")
         if self.eval_reference not in ("real", "generated", "pooled"):
-            raise ConfigError(f"unknown reference mode {self.eval_reference!r}")
+            raise ConfigError(f"eval.reference must be one of real, generated, pooled, got {self.eval_reference!r}")
         if not (0.0 < self.eval_metric_t_fraction < 1.0):
             raise ConfigError("eval.metric_t_fraction must lie in (0, 1)")
         for key, least in (("eval.knn_k", 1), ("eval.lof_k", 1), ("eval.metric_mc", 1),

@@ -49,11 +49,11 @@ class GmmSpec:
         mu = np.atleast_2d(np.asarray(self.means, float))
         v = np.asarray(self.variances, float)
         if w.ndim != 1 or mu.shape[0] != w.size or v.shape != w.shape:
-            raise ConfigError("inconsistent GMM component shapes")
+            raise ConfigError("gmm.weights, gmm.means and gmm.variances give inconsistent component shapes")
         if abs(w.sum() - 1.0) > 1e-12 or np.any(w <= 0):
-            raise ConfigError("weights must be positive and sum to 1")
+            raise ConfigError("gmm.weights must be positive and sum to 1")
         if np.any(v <= 0):
-            raise ConfigError("variances must be positive")
+            raise ConfigError("gmm.variances must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
@@ -172,4 +172,4 @@ def benchmark(name: str) -> GmmSpec:
             means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
             variances=np.array([0.25, 0.25]),
         )
-    raise ConfigError(f"unknown benchmark {name!r}")
+    raise ConfigError(f"benchmark must be one of gmm8-ring, gmm2-imbalanced, inline, got {name!r}")

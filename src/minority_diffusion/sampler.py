@@ -42,19 +42,18 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.w < np.inf:  # False for nan too
-            raise ConfigError(f"guidance scale w must be finite and >= 0, got {self.w}")
-        if self.schedule_mode not in SCHEDULE_MODES:
-            raise ConfigError(f"unknown schedule_mode {self.schedule_mode!r}")
-        if self.sg_mode not in SG_MODES:
-            raise ConfigError(f"unknown sg_mode {self.sg_mode!r}")
-        if self.kind not in GUIDANCE_KINDS:
-            raise ConfigError(f"unknown guidance kind {self.kind!r}")
+            raise ConfigError(f"guidance.w must be finite and >= 0, got {self.w}")
+        for key, value, choices in (("guidance.schedule", self.schedule_mode, SCHEDULE_MODES),
+                                    ("guidance.sg", self.sg_mode, SG_MODES),
+                                    ("guidance.kind", self.kind, GUIDANCE_KINDS)):
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         if self.n < 1:
-            raise ConfigError("intermittent rate n must be >= 1")
+            raise ConfigError(f"guidance.interval must be >= 1, got {self.n}")
         if not (0.0 < self.s_fraction < 1.0):
-            raise ConfigError("s_fraction must lie in (0, 1)")
+            raise ConfigError(f"guidance.s_fraction must lie in (0, 1), got {self.s_fraction}")
         if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
+            raise ConfigError(f"guidance.mc_samples must be >= 1, got {self.mc_samples}")
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -73,7 +72,9 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     SeedSequence pads entropy shorter than four words with zero words, so
     keys that differ only in trailing zeros are one stream: (7,) is chain
     7's transition noise (7, 0). A two-word key whose last word is 2 or
-    more equals no chain's key.
+    more equals no chain's key. One stream is drawn outside this table:
+    MlpEpsModel(seed=s) initialises its weights from default_rng(s), which
+    is the stream of key (0, 0), chain 0's transition noise of run seed s.
     """
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
@@ -146,22 +147,18 @@ def guided_steps(T: int, n: int) -> list[int]:
     return [t for t in range(T, 0, -1) if t % n == 0]
 
 
-def guidance_plan(cfg: GuidanceConfig, sched: NoiseSchedule) -> dict[int, tuple[int, float]]:
-    """{t: (j, w_t)} for every step at which guidance runs: t % n == 0 and
-    w_t != 0, in sampling order; empty when w = 0.
+def guidance_plan(cfg: GuidanceConfig, sched: NoiseSchedule) -> dict[int, float]:
+    """{t: w_t} for every step at which guidance runs: t % n == 0 and
+    w_t != 0, in sampling order; empty when w = 0. guided_sample reads one
+    guidance-noise tape row per plan step, in this order.
 
-    j is t's row in the guidance-noise tape, which keeps one row per
-    guided_steps entry, so a zero-weight step keeps its row and the draws
-    of the other steps do not move.
+    The zero-weight steps of guided_steps are its tail (t < t_mid under
+    switch_off; under variance, betas that do not decrease in t), so the
+    plan is a prefix of guided_steps.
     """
     if cfg.w == 0.0:
         return {}
-    plan = {}
-    for j, t in enumerate(guided_steps(sched.T, cfg.n)):
-        w_t = weight(t, cfg, sched)
-        if w_t != 0.0:
-            plan[t] = (j, w_t)
-    return plan
+    return {t: w_t for t in guided_steps(sched.T, cfg.n) if (w_t := weight(t, cfg, sched)) != 0.0}
 
 
 # chain quantiles of each traced quantity, next to its mean; the header
@@ -179,34 +176,24 @@ WINDOW_BYTES = 4 * 2**20
 WINDOW_MIN_ROWS = 32
 
 
-class _Tape:
-    """Rows 0..rows-1 of one noise tape of every chain, drawn a window of
-    rows at a time into one reused buffer.
+def _tape(rngs, rows: int, shape: tuple):
+    """Yield rows 0..rows-1, in order, of one noise tape of every chain,
+    drawn a window of rows at a time into one reused buffer.
 
-    Chain c's tape is rngs[c].standard_normal((rows,) + shape); row j of the
-    tape is the array of shape shape[:-1] + (chains, shape[-1]) that holds
-    row j of every chain. Rows are taken in order: a row past the window
-    draws the next rows of every stream, and the rows it passes over are
-    drawn too. The generator fills in C order, so the rows match one draw of
-    the whole tape. A row stays valid only until the next refill.
+    Chain c's tape is rngs[c].standard_normal((rows,) + shape); a row is
+    the array of shape shape[:-1] + (chains, shape[-1]) that holds that
+    row of every chain. The generator fills in C order, so the rows match
+    one draw of the whole tape. A row stays valid only until the next
+    window is drawn.
     """
-
-    def __init__(self, rngs, rows: int, shape: tuple):
-        self.rngs, self.rows, self.shape = rngs, rows, shape
-        row_bytes = 8 * len(rngs) * int(np.prod(shape))
-        width = min(rows, max(WINDOW_MIN_ROWS, WINDOW_BYTES // row_bytes))
-        self.buf = np.empty((width, *shape[:-1], len(rngs), shape[-1]))
-        self.start = self.end = 0  # rows start..end-1 are in the buffer
-
-    def row(self, j: int) -> np.ndarray:
-        if not self.start <= j < self.rows:
-            raise IndexError(f"tape row {j}: rows are taken in order and {self.start}..{self.rows - 1} are left")
-        while j >= self.end:
-            self.start, self.end = self.end, min(self.end + len(self.buf), self.rows)
-            k = self.end - self.start
-            for c, rng in enumerate(self.rngs):
-                self.buf[:k, ..., c, :] = rng.standard_normal((k, *self.shape))
-        return self.buf[j - self.start]
+    row_bytes = 8 * len(rngs) * int(np.prod(shape))
+    width = min(rows, max(WINDOW_MIN_ROWS, WINDOW_BYTES // row_bytes))
+    buf = np.empty((width, *shape[:-1], len(rngs), shape[-1]))
+    for start in range(0, rows, width):
+        k = min(width, rows - start)
+        for c, rng in enumerate(rngs):
+            buf[:k, ..., c, :] = rng.standard_normal((k, *shape))
+        yield from buf[:k]
 
 
 def guided_sample(
@@ -221,17 +208,17 @@ def guided_sample(
     All chains are advanced together. Each chain draws a transition-noise
     tape of T rows of model.dim values from its stream (c, 0) and, under
     self guidance, a guidance-noise tape of one (mc_samples, model.dim) row
-    per guided_steps entry from its stream (c, 1), so the batched loop matches
-    chain-by-chain execution exactly. The tapes are drawn a window of steps
-    at a time (see _Tape), and the outputs are those of drawing them whole.
-    Tape memory is at most two windows, one per tape, of WINDOW_BYTES or
-    WINDOW_MIN_ROWS rows each, plus about 1 KB per stream for the generators
-    kept for the run.
+    per guidance_plan step, in sampling order, from its stream (c, 1), so
+    the batched loop matches chain-by-chain execution exactly. The tapes
+    are read in order a window of steps at a time (see _tape), and the
+    outputs are those of drawing them whole. Tape memory is at most two
+    windows, one per tape, of WINDOW_BYTES or WINDOW_MIN_ROWS rows each,
+    plus about 1 KB per stream for the generators kept for the run.
 
     Guidance is evaluated at the pre-transition latent at the steps of
-    guidance_plan; with w = 0 the plan is empty and the guidance machinery
-    is never touched. A chain state whose squared norm is not finite raises
-    NumericDegeneracyError naming the timestep.
+    guidance_plan, with their weights; with w = 0 the plan is empty and the
+    guidance machinery is never touched. A chain state whose squared norm
+    is not finite raises NumericDegeneracyError naming the timestep.
 
     The trace is a list with one row per guided step, in sampling order,
     empty unless `trace` is set: (t, w_t), then the mean and the
@@ -243,25 +230,22 @@ def guided_sample(
         raise ConfigError("need at least one chain")
     T, dim = model.sched.T, model.dim
     plan = guidance_plan(cfg, model.sched)
-    noise = _Tape([stream(seed, c, 0) for c in range(chains)], T, (dim,))
-    eps_tape = None
+    noise = _tape([stream(seed, c, 0) for c in range(chains)], T, (dim,))
     if plan and cfg.kind == "self":
-        # a row per guided_steps entry
-        eps_tape = _Tape([stream(seed, c, 1) for c in range(chains)], T // cfg.n, (cfg.mc_samples, dim))
+        eps_rows = _tape([stream(seed, c, 1) for c in range(chains)], len(plan), (cfg.mc_samples, dim))
 
-    x = noise.row(0).copy()
+    x = next(noise).copy()
     recorded = []
     for t in range(T, 0, -1):
-        step = plan.get(t)
-        if step is not None:
-            j, w_t = step
+        w_t = plan.get(t)
+        if w_t is not None:
             if cfg.kind == "self":
-                g_vec, metric = guidance(x, t, cfg, model, eps=eps_tape.row(j))
+                g_vec, metric = guidance(x, t, cfg, model, eps=next(eps_rows))
             else:
                 g_vec = naive_density_guidance(x, t, model, normalize_linf=cfg.normalize_linf)
                 metric = np.full(chains, np.nan)
-        x = reverse_step(x, t, model, noise.row(T - t + 1) if t > 1 else None)
-        if step is not None:
+        x = reverse_step(x, t, model, next(noise) if t > 1 else None)
+        if w_t is not None:
             x = x + w_t * g_vec
             if trace:
                 cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])

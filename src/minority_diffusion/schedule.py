@@ -81,7 +81,7 @@ def build_schedule(
     unless every beta lies in (0, 1) and alpha_bar strictly decreases.
     """
     if T < 1:
-        raise ConfigError(f"T must be >= 1, got {T}")
+        raise ConfigError(f"schedule.timesteps must be >= 1, got {T}")
     if kind == "linear":
         if beta_start is None:
             beta_start = _LINEAR_BETA_START * _LINEAR_REFERENCE_T / T
@@ -89,7 +89,8 @@ def build_schedule(
             beta_end = _LINEAR_BETA_END * _LINEAR_REFERENCE_T / T
         if not (0.0 < beta_start <= beta_end < 1.0):
             raise ConfigError(
-                f"linear betas must satisfy 0 < start <= end < 1, got ({beta_start}, {beta_end})"
+                "schedule.beta_start and schedule.beta_end must satisfy 0 < start <= end < 1, "
+                f"got {beta_start}, {beta_end}"
             )
         betas = np.linspace(beta_start, beta_end, T)
     elif kind == "cosine":
@@ -104,13 +105,13 @@ def build_schedule(
         abar = f(grid) / f(0)
         betas = np.clip(1.0 - abar[1:] / abar[:-1], 0.0, 0.999)
     else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
+        raise ConfigError(f"schedule.kind must be linear or cosine, got {kind!r}")
     alpha_cum = np.cumprod(1.0 - betas)
     if not (np.all((betas > 0.0) & (betas < 1.0)) and np.all(np.diff(alpha_cum, prepend=1.0) < 0.0)):
         given = (
             f"schedule.cosine_offset = {cosine_offset}"
             if kind == "cosine"
-            else f"schedule.beta_start, beta_end = {beta_start}, {beta_end}"
+            else f"schedule.beta_start, schedule.beta_end = {beta_start}, {beta_end}"
         )
         raise ConfigError(
             f"{given} gives a {T}-step {kind} schedule with betas outside (0, 1) "
@@ -138,7 +139,7 @@ def respace(sched: NoiseSchedule, steps: int) -> NoiseSchedule:
     T must be divisible by steps.
     """
     if steps < 1 or sched.T % steps != 0:
-        raise ConfigError(f"cannot respace T={sched.T} to {steps} uniform steps")
+        raise ConfigError(f"schedule.respace must be a positive divisor of T = {sched.T}, got {steps}")
     stride = sched.T // steps
     picked = sched.alpha_cum[stride - 1 :: stride]
     prev = np.concatenate([[1.0], picked[:-1]])

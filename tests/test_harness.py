@@ -713,6 +713,24 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
             ["schedule.timesteps=250", "guidance.schedule=switch_off", "guidance.t_mid=249", "guidance.interval=100"],
             "guidance.interval",
         ),
+        # every config error names its key
+        ("sample", ["guidance.w=-1"], "guidance.w"),
+        ("sample", ["guidance.interval=0"], "guidance.interval"),
+        ("sample", ["guidance.s_fraction=1"], "guidance.s_fraction"),
+        ("sample", ["guidance.mc_samples=0"], "guidance.mc_samples"),
+        ("sample", ["guidance.schedule=lin"], "guidance.schedule"),
+        ("sample", ["guidance.sg=x"], "guidance.sg"),
+        ("sample", ["guidance.kind=x"], "guidance.kind"),
+        ("sample", ["schedule.timesteps=0"], "schedule.timesteps"),
+        ("sample", ["schedule.kind=foo"], "schedule.kind"),
+        ("sample", ["schedule.respace=7"], "schedule.respace"),
+        ("sample", ["schedule.kind=linear", "schedule.beta_start=-0.1"], "schedule.beta_start"),
+        ("sample", ["model.kind=x"], "model.kind"),
+        ("sample", ["eval.reference=x"], "eval.reference"),
+        # "benchmark" is also a plain word, so the row matches the phrasing
+        ("sample", ["benchmark=x"], "benchmark must be"),
+        ("sample", ["benchmark=inline", "gmm.weights=1", "gmm.means=0,0", "gmm.variances=-1"], "gmm.variances"),
+        ("sample", ["benchmark=inline", "gmm.weights=a", "gmm.means=0,0", "gmm.variances=1"], "gmm.weights"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

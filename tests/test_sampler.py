@@ -19,6 +19,7 @@ from minority_diffusion.gmm import GmmSpec
 from minority_diffusion.minority import inference_metric, round_trip
 from minority_diffusion.models import CallCountingModel, GmmScoreModel, ScoreModel
 from minority_diffusion.sampler import (
+    SCHEDULE_MODES,
     GuidanceConfig,
     _normalize_linf,
     guidance,
@@ -30,7 +31,7 @@ from minority_diffusion.sampler import (
     stream,
     weight,
 )
-from minority_diffusion.schedule import build_schedule
+from minority_diffusion.schedule import build_schedule, respace
 
 
 @pytest.mark.parametrize("sg", ["none", "sg_first", "sg_second"])
@@ -119,7 +120,7 @@ def test_weight_schedules(sched20):
         weight(5, GuidanceConfig(w=1.0, schedule_mode="switch_off"), sched20)
 
 
-def test_resolve_s_rounds_and_clamps(sched20):
+def test_step_at_rounds_and_clamps(sched20):
     # the perturbation timestep s = step_at(s_fraction)
     assert sched20.step_at(0.8) == 16
     assert sched20.step_at(0.012) == 1
@@ -133,13 +134,28 @@ def test_guided_steps_counts():
 
 
 def test_guidance_plan(sched20):
-    # the guided steps of nonzero weight, each with its tape row
+    # the guided steps of nonzero weight, each with its weight
     sw = GuidanceConfig(w=2.0, schedule_mode="switch_off", t_mid=10, n=3)
-    assert guidance_plan(sw, sched20) == {18: (0, 2.0), 15: (1, 2.0), 12: (2, 2.0)}
+    assert guidance_plan(sw, sched20) == {18: 2.0, 15: 2.0, 12: 2.0}
     var = GuidanceConfig(w=2.0, n=7)
-    assert guidance_plan(var, sched20) == {14: (0, weight(14, var, sched20)), 7: (1, weight(7, var, sched20))}
+    assert guidance_plan(var, sched20) == {14: weight(14, var, sched20), 7: weight(7, var, sched20)}
     # w = 0 is unguided: the plan is empty, and switch_off needs no t_mid
     assert guidance_plan(GuidanceConfig(w=0.0, schedule_mode="switch_off"), sched20) == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["linear", "cosine"]), mode=st.sampled_from(SCHEDULE_MODES))
+def test_guidance_plan_is_a_prefix_of_guided_steps(data, kind, mode):
+    # guided_sample gives the i-th plan step the i-th guidance-noise row, the
+    # row of guided_steps' i-th step: the zero-weight steps are the tail
+    T = data.draw(st.integers(21 if kind == "linear" else 1, 400), label="T")  # linear T <= 20 has beta_end >= 1
+    steps = data.draw(st.sampled_from([0] + [d for d in range(1, T + 1) if T % d == 0]), label="respace")
+    sched = respace(build_schedule(kind, T), steps) if steps else build_schedule(kind, T)
+    n = data.draw(st.integers(1, sched.T), label="n")
+    t_mid = data.draw(st.integers(1, sched.T), label="t_mid")
+    w = data.draw(st.one_of(st.floats(0.0, 1e3), st.sampled_from([5e-324, 1e-320, 1e-300])), label="w")
+    plan = guidance_plan(GuidanceConfig(w=w, schedule_mode=mode, t_mid=t_mid, n=n), sched)
+    assert list(plan) == guided_steps(sched.T, n)[: len(plan)]
 
 
 @pytest.mark.parametrize(
@@ -147,9 +163,11 @@ def test_guidance_plan(sched20):
     [(1, 1, "fixed"), (3, 1, "variance"), (1, 2, "variance"), (3, 2, "switch_off"), (1, 1, "switch_off")],
 )
 def test_guidance_noise_rows_follow_the_tape(monkeypatch, ring_model20, sched20, n, m, mode):
-    # guided step t reads row T // n - t // n of each chain's guidance-noise
-    # tape, drawn as one (T // n, m, D) block from the chain's second stream;
-    # under switch_off the zero-weight steps still own their rows
+    # guided step t reads row T // n - t // n of one (T // n, m, D) draw
+    # from each chain's second stream: the tape has a row per plan step, in
+    # sampling order, and the plan is a prefix of guided_steps, so its i-th
+    # step is guided_steps' i-th; under switch_off the zero-weight steps are
+    # the tail, and their rows are never drawn
     seen = {}
     real = sampler.guidance
 
@@ -390,22 +408,28 @@ def test_window_size_leaves_samples_and_trace_unchanged(ring_model20, width, n, 
 def test_tape_rows_match_one_draw_and_are_taken_in_order():
     rngs = [stream(3, c, 1) for c in range(2)]
     whole = np.stack([r.standard_normal((10, 2, 3)) for r in rngs], axis=2)  # (rows, m, chains, D)
+    # the generator sizes its window when the first row is taken, so every
+    # row is taken inside the patch: 4-row windows, drawn at rows 0, 4 and 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "WINDOW_BYTES", 0)
         mp.setattr(sampler, "WINDOW_MIN_ROWS", 4)
-        tape = sampler._Tape([stream(3, c, 1) for c in range(2)], 10, (2, 3))
-    assert len(tape.buf) == 4
-    for j in (0, 1, 5, 9):  # rows 2..4 and 6..8 are drawn over
-        assert np.array_equal(tape.row(j), whole[j])
-    for j in (7, 10):  # drawn over, and past the end
-        with pytest.raises(IndexError):
-            tape.row(j)
+        tape = sampler._tape([stream(3, c, 1) for c in range(2)], 10, (2, 3))
+        first = next(tape)  # a view into the reused buffer
+        rows = [first.copy()] + [next(tape).copy() for _ in range(3)]
+        assert np.array_equal(first, whole[0])
+        rows.append(next(tape).copy())  # row 4 draws the next window over it
+        assert np.array_equal(first, whole[4])
+        rows += [row.copy() for row in tape]
+    assert len(rows) == 10
+    for j, row in enumerate(rows):
+        assert np.array_equal(row, whole[j])
+    assert next(tape, None) is None  # it stopped after row 9
 
 
 def test_tape_memory_stays_under_the_whole_tapes():
     # 256 KB rows, so 32-row windows of 8 MB per tape; the generators kept
-    # for the run add about 4 MiB. Guidance runs at t >= 170, but its tape
-    # keeps a row per step, so the whole tapes would hold 2 x 200 rows.
+    # for the run add about 4 MiB. Guidance runs at t >= 170, so its tape
+    # holds 31 rows; the bound is a third of two whole 200-row tapes.
     sched = build_schedule("cosine", 200)
     chains, dim = 2000, 16
     gauss = GmmSpec(weights=np.array([1.0]), means=np.zeros((1, dim)), variances=np.array([1.0]))
