@@ -24,7 +24,6 @@ from .sampler import (
     GuidanceConfig,
     guidance,
     guided_sample,
-    naive_density_guidance,
     reverse_step,
     weight,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "inference_metric",
     "linearize_tweedie",
     "minority_score",
-    "naive_density_guidance",
     "perturb",
     "respace",
     "reverse_step",

@@ -7,7 +7,8 @@ file reproduces the run exactly. Keys:
   benchmark                 gmm8-ring | gmm2-imbalanced | inline
   gmm.weights               comma-separated (inline benchmark only)
   gmm.means                 rows separated by ';', coords by ',' (inline only)
-  gmm.variances             comma-separated (inline only)
+  gmm.variances             comma-separated (inline only); every number in
+                            the gmm.* keys must be finite
   schedule.kind             linear | cosine
   schedule.timesteps        positive integer
   schedule.beta_start       float (linear; empty = scaled DDPM default)

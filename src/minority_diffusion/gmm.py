@@ -50,10 +50,13 @@ class GmmSpec:
         v = np.asarray(self.variances, float)
         if w.ndim != 1 or mu.shape[0] != w.size or v.shape != w.shape:
             raise ConfigError("gmm.weights, gmm.means and gmm.variances give inconsistent component shapes")
-        if abs(w.sum() - 1.0) > 1e-12 or np.any(w <= 0):
+        # written so that NaN fails every check
+        if abs(w.sum() - 1.0) > 1e-12 or not np.all(w > 0):
             raise ConfigError("gmm.weights must be positive and sum to 1")
-        if np.any(v <= 0):
-            raise ConfigError("gmm.variances must be positive")
+        if not np.all(np.isfinite(mu)):
+            raise ConfigError("gmm.means must be finite")
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ConfigError("gmm.variances must be positive and finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)

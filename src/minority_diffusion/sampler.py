@@ -96,38 +96,36 @@ def _normalize_linf(g: np.ndarray) -> np.ndarray:
     return g / safe
 
 
-def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, eps: np.ndarray):
-    """(g, metric): gradient of the inference-time metric w.r.t. x_t under
-    cfg.sg_mode, and the metric value.
+def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, eps: np.ndarray | None = None):
+    """(g, metric): the guided step's direction at (x_t, t) and, per row,
+    the inference metric, for either cfg.kind; cfg.normalize_linf scales
+    g to unit l-infinity norm for both.
 
-    sg_second holds the second denoised estimate constant (single backward
-    pass), sg_first holds the first, and "none" differentiates both; the
-    three satisfy guidance(none) = guidance(sg_first) + guidance(sg_second)
-    for shared noise. `eps`, of shape (cfg.mc_samples,) + x_t.shape, pins
-    the metric's noise draws; the metric is inference_metric of x_t with
-    the same draws.
+    Under "naive", g = -score(x_t, t), descent on the perturbed log
+    density, and the metric is NaN; cfg.sg_mode, cfg.s_fraction,
+    cfg.mc_samples and `eps` are not used.
 
-    x0_hat and the final pullback come from one linearize_tweedie at
-    (x_t, t); the round trip from x0_hat at s supplies the metric and its
-    cotangent.
+    Under "self", g is the gradient of the inference-time metric w.r.t.
+    x_t under cfg.sg_mode. sg_second holds the second denoised estimate
+    constant (single backward pass), sg_first holds the first, and "none"
+    differentiates both; the three satisfy guidance(none) =
+    guidance(sg_first) + guidance(sg_second) for shared noise. `eps`, of
+    shape (cfg.mc_samples,) + x_t.shape, pins the metric's noise draws;
+    the metric is inference_metric of x_t with the same draws. x0_hat and
+    the final pullback come from one linearize_tweedie at (x_t, t); the
+    round trip from x0_hat at s supplies the metric and its cotangent.
     """
-    if np.shape(eps)[:1] != (cfg.mc_samples,):
-        raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
-    x0_hat, pull_t = linearize_tweedie(x_t, t, model)
-    draws, cot = round_trip(x0_hat, model.sched.step_at(cfg.s_fraction), model, eps, cfg.sg_mode)
-    g = pull_t(cot)
+    if cfg.kind == "naive":
+        g, metric = -model.score(x_t, t), np.full(x_t.shape[:-1], np.nan)
+    else:
+        if np.shape(eps)[:1] != (cfg.mc_samples,):
+            raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
+        x0_hat, pull_t = linearize_tweedie(x_t, t, model)
+        draws, cot = round_trip(x0_hat, model.sched.step_at(cfg.s_fraction), model, eps, cfg.sg_mode)
+        g, metric = pull_t(cot), draws.mean(axis=0)
     if cfg.normalize_linf:
         g = _normalize_linf(g)
-    return g, draws.mean(axis=0)
-
-
-def naive_density_guidance(x_t: np.ndarray, t: int, model: ScoreModel,
-                           normalize_linf: bool = True) -> np.ndarray:
-    """Descent direction on the perturbed log-density: -score(x_t, t)."""
-    g = -model.score(x_t, t)
-    if normalize_linf:
-        g = _normalize_linf(g)
-    return g
+    return g, metric
 
 
 def reverse_step(x: np.ndarray, t: int, model: ScoreModel, z) -> np.ndarray:
@@ -239,11 +237,7 @@ def guided_sample(
     for t in range(T, 0, -1):
         w_t = plan.get(t)
         if w_t is not None:
-            if cfg.kind == "self":
-                g_vec, metric = guidance(x, t, cfg, model, eps=next(eps_rows))
-            else:
-                g_vec = naive_density_guidance(x, t, model, normalize_linf=cfg.normalize_linf)
-                metric = np.full(chains, np.nan)
+            g_vec, metric = guidance(x, t, cfg, model, next(eps_rows) if cfg.kind == "self" else None)
         x = reverse_step(x, t, model, next(noise) if t > 1 else None)
         if w_t is not None:
             x = x + w_t * g_vec

@@ -288,6 +288,12 @@ def test_spec_validation():
         GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.array([-1.0]))
     with pytest.raises(ConfigError):
         GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((3, 2)), variances=np.ones(2))
+    # NaN compares False both ways, so each check must fail on it
+    good = {"weights": [0.5, 0.5], "means": np.zeros((2, 2)), "variances": np.ones(2)}
+    for key, value in (("weights", [np.nan, np.nan]), ("weights", [np.inf, 0.5]), ("means", [[np.nan, 0.0], [1.0, 0.0]]),
+                       ("means", [[np.inf, 0.0], [1.0, 0.0]]), ("variances", [np.nan, 1.0]), ("variances", [np.inf, 1.0])):
+        with pytest.raises(ConfigError, match=f"gmm.{key}"):
+            GmmSpec(**{**good, key: value})
 
 
 def test_benchmarks():

@@ -344,17 +344,14 @@ def test_trace_rows_are_chain_aggregates(tmp_path, monkeypatch, overrides):
     # capture each guided step's per-chain guidance vectors and metrics
     captured = []
 
-    def spy(fn):
-        def wrapped(x, *args, **kwargs):
-            out = fn(x, *args, **kwargs)
-            g, metric = out if isinstance(out, tuple) else (out, np.full(len(x), np.nan))
-            captured.append((np.linalg.norm(g, axis=-1), np.max(np.abs(g), axis=-1), metric))
-            return out
+    guidance = sampler.guidance
 
-        return wrapped
+    def spy(*args, **kwargs):
+        g, metric = guidance(*args, **kwargs)
+        captured.append((np.linalg.norm(g, axis=-1), np.max(np.abs(g), axis=-1), metric))
+        return g, metric
 
-    monkeypatch.setattr(sampler, "guidance", spy(sampler.guidance))
-    monkeypatch.setattr(sampler, "naive_density_guidance", spy(sampler.naive_density_guidance))
+    monkeypatch.setattr(sampler, "guidance", spy)
     cfg = small_config(**{"run.trace": "true", **overrides})
     report = run_experiment(cfg, str(tmp_path))
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -680,6 +677,10 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
+# a 2-D two-component inline mixture; a row overrides one of its keys
+_INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gmm.variances=1,1"]
+
+
 @pytest.mark.parametrize(
     "command, overrides, key",
     [
@@ -731,6 +732,13 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
         ("sample", ["benchmark=x"], "benchmark must be"),
         ("sample", ["benchmark=inline", "gmm.weights=1", "gmm.means=0,0", "gmm.variances=-1"], "gmm.variances"),
         ("sample", ["benchmark=inline", "gmm.weights=a", "gmm.means=0,0", "gmm.variances=1"], "gmm.weights"),
+        # every number of an inline mixture must be finite
+        ("sample", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
+        ("sample", [*_INLINE2, "gmm.means=nan,0;1,0"], "gmm.means"),
+        ("sample", [*_INLINE2, "gmm.variances=inf,1"], "gmm.variances"),
+        ("eval", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
+        ("train", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
+        ("verify", [*_INLINE2, "gmm.variances=nan,1"], "gmm.variances"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

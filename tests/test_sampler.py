@@ -26,7 +26,6 @@ from minority_diffusion.sampler import (
     guidance_plan,
     guided_sample,
     guided_steps,
-    naive_density_guidance,
     reverse_step,
     stream,
     weight,
@@ -226,18 +225,26 @@ def test_reverse_step_rejects_t_below_one(t, unit_model20):
         reverse_step(np.zeros(2), t, unit_model20, np.zeros(2))
 
 
-def test_unguided_sampler_matches_chain_by_chain_ancestral(ring_model20, sched20, ring):
+@pytest.mark.parametrize(
+    "cfg",
+    [GuidanceConfig(w=0.0), GuidanceConfig(w=0.3, schedule_mode="fixed", n=3, kind="naive")],
+    ids=["unguided", "naive"],
+)
+def test_sampler_matches_chain_by_chain_reference(cfg, ring_model20, sched20, ring):
+    # naive guidance adds w * normalized descent on the log density, taken
+    # at the pre-transition state, at every t % n == 0
     chains, seed = 6, 42
-    batched, trace = guided_sample(
-        ring_model20, GuidanceConfig(w=0.0), chains=chains, seed=seed
-    )
+    batched, trace = guided_sample(ring_model20, cfg, chains=chains, seed=seed)
     assert trace == []
     for c in range(chains):
         rng_z = stream(seed, c, 0)
         x = rng_z.standard_normal(2)
         for t in range(sched20.T, 0, -1):
+            g = _normalize_linf(-ring_model20.score(x, t))
             z = rng_z.standard_normal(2) if t > 1 else None
             x = reverse_step(x, t, ring_model20, z)
+            if cfg.w and t % cfg.n == 0:
+                x = x + cfg.w * g
         np.testing.assert_array_equal(batched[c], x)
 
 
@@ -269,12 +276,16 @@ def test_naive_guidance_is_normalized_descent(ring_model20):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 2))
     raw = -ring_model20.score(x, 8)
-    np.testing.assert_allclose(
-        naive_density_guidance(x, 8, ring_model20), _normalize_linf(raw), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        naive_density_guidance(x, 8, ring_model20, normalize_linf=False), raw, rtol=1e-12
-    )
+    for normalize, want in ((True, _normalize_linf(raw)), (False, raw)):
+        cfg = GuidanceConfig(kind="naive", normalize_linf=normalize)
+        g, metric = guidance(x, 8, cfg, ring_model20)
+        np.testing.assert_array_equal(g, want)
+        assert metric.shape == (4,) and np.all(np.isnan(metric))
+        # the metric's noise is not used under naive guidance
+        for eps in (np.zeros((1, 4, 2)), rng.normal(size=(3, 4, 2))):
+            g_eps, metric_eps = guidance(x, 8, cfg, ring_model20, eps)
+            np.testing.assert_array_equal(g_eps, g)
+            np.testing.assert_array_equal(metric_eps, metric)
 
 
 def test_trace_rows_cover_guided_steps(ring_model20, sched20):
