@@ -122,4 +122,6 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
     )
     model.step_count = header.get("step_count", 0)
     model.params[...] = np.frombuffer(raw, dtype="<f8", offset=off)
+    if not np.isfinite(model.params).all():
+        raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
     return model

@@ -10,7 +10,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
 from .minority import round_trip, tweedie
 from .models import ScoreModel
-from .sampler import stream
+from .sampler import WINDOW_BYTES, stream
 from .schedule import perturb
 
 
@@ -52,20 +52,17 @@ def _rank(queries, refset, cand, rows, self_offset):
     """Reference indices `cand` (one row per query in `rows`) and their
     distances, ordered by distance, ties by index; a query's own point is
     at distance inf."""
-    dist = np.linalg.norm(queries[rows, None, :] - refset[cand], axis=-1)
+    # np.linalg.norm's sqrt(sum(d * d)), in place: one (rows, w, D) temporary
+    diff = refset[cand]
+    np.subtract(queries[rows, None, :], diff, out=diff)
+    dist = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1))
     if self_offset is not None:
         dist[cand == (self_offset + rows)[:, None]] = np.inf
     order = np.lexsort((cand, dist))
     return np.take_along_axis(cand, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
-def _knn_scan(
-    queries: np.ndarray,
-    refset: np.ndarray,
-    k: int,
-    self_offset: int | None = None,
-    chunk: int = 512,
-):
+def _knn_scan(queries: np.ndarray, refset: np.ndarray, k: int, self_offset: int | None = None):
     """Indices and distances of the k nearest reference points per query.
 
     Ties are broken by reference index. If queries are a contiguous slice of
@@ -75,8 +72,8 @@ def _knn_scan(
     same primitive a full scan uses. A row whose candidate w - 1 (in distance
     order) lies within rounding of its k-th distance may tie with a point the
     tree left out, so it is asked again with twice the width; once the width
-    reaches n the row is scanned in full. Each block of rows holds at most
-    `chunk` * n candidate pairs.
+    reaches n the row is scanned in full. A block's (rows, w, D) float64
+    temporary fits WINDOW_BYTES, whatever n, D or ties, or holds one row.
     """
     # deferred: importing scipy.spatial costs more than most commands use it
     from scipy.spatial import cKDTree
@@ -101,7 +98,7 @@ def _knn_scan(
     rows, width = np.arange(nq), k + 2
     while rows.size:
         width = min(width, n)
-        step = max(1, chunk * n // width)
+        step = max(1, WINDOW_BYTES // (8 * width * refset.shape[1]))
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
             if width < n:
@@ -173,7 +170,7 @@ def verify_prop1(x0: np.ndarray, model: ScoreModel, rng: np.random.Generator, m:
         e_resid = eps - model.eps(perturb(x0, t, eps, sched), t)
         r_draws = np.sum(e_resid * e_resid, axis=-1)
         gaps = np.abs(l_draws - r_draws) / np.maximum(np.abs(r_draws), 1e-300)
-        worst = max(worst, float(gaps.max()))
+        worst = float(np.maximum(worst, gaps.max()))  # a NaN gap stays NaN
         lhs[t - 1] = l_draws.mean()
         rhs[t - 1] = r_draws.mean()
     total_lhs, total_rhs = float(np.sum(lhs)), float(np.sum(rhs))

@@ -17,6 +17,7 @@ Output files per run (all written atomically):
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -106,8 +107,21 @@ class RunReport:
         }
 
 
+def _non_finite_keys(obj, key=""):
+    """Dotted keys (a list item's key is its index) of the NaN and infinite
+    floats in obj."""
+    if isinstance(obj, (dict, list, tuple)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [bad for k, v in items for bad in _non_finite_keys(v, f"{key}.{k}" if key else str(k))]
+    return [key] if isinstance(obj, float) and not math.isfinite(obj) else []
+
+
 def to_json(obj) -> str:
-    """The JSON text of every summary this package writes or prints."""
+    """The JSON text of every summary this package writes or prints; a NaN
+    or infinite number raises NumericDegeneracyError naming its key."""
+    bad = _non_finite_keys(obj)
+    if bad:
+        raise NumericDegeneracyError(f"non-finite {', '.join(bad)} in the JSON output")
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -205,6 +219,7 @@ def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
 
 
 def write_report(report: RunReport, out_dir: str) -> None:
+    summary = to_json(report.summary())  # a non-finite summary writes nothing
     try:
         os.makedirs(out_dir, exist_ok=True)
         # floats are written as repr of Python floats (tolist), which round-trip exactly
@@ -219,7 +234,7 @@ def write_report(report: RunReport, out_dir: str) -> None:
         trace = [TRACE_HEADER, *(",".join(map(repr, row)) for row in report.trace_rows)]
         atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(trace) + "\n")
 
-        atomic_write(os.path.join(out_dir, "summary.json"), to_json(report.summary()))
+        atomic_write(os.path.join(out_dir, "summary.json"), summary)
         atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())
     except OSError as exc:
         raise CheckpointError(f"cannot write outputs to {out_dir}: {exc}") from exc

@@ -124,8 +124,8 @@ class TrainOptions:
             raise ConfigError("training steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if not self.lr > 0.0:
-            raise ConfigError("learning rate must be > 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError("learning rate must be > 0 and finite")
 
 
 def _mlp_layer_sizes(dim: int, hidden, emb_dim: int) -> list[int]:
@@ -263,7 +263,8 @@ def train_dsm(
     Minimizes the per-batch mean of ||eps - eps_theta(perturb(x0, t, eps),
     t)||^2 with t drawn uniformly from 1..T. Returns the per-step loss
     history. `sched` must be the model's own schedule (same fingerprint),
-    which its checkpoint records, else ConfigError.
+    which its checkpoint records, else ConfigError. A non-finite loss, or
+    non-finite parameters after the last step, raise TrainingDivergenceError.
     """
     if sched.fingerprint() != model.sched.fingerprint():
         raise ConfigError("train_dsm got a noise schedule other than the model's own")
@@ -296,4 +297,6 @@ def train_dsm(
         mhat = m / (1.0 - opts.beta1**k)
         vhat = v / (1.0 - opts.beta2**k)
         model.params -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
+    if not np.isfinite(model.params).all():  # the loss check never sees the last update
+        raise TrainingDivergenceError(step, f"non-finite parameters after training step {step}")
     return history

@@ -7,6 +7,8 @@ closed forms for the unit Gaussian (via a cubature that is exact for
 quadratics in the noise).
 """
 
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from minority_diffusion.evaluation import (
 from minority_diffusion.gmm import GmmSpec
 from minority_diffusion.gmm import log_density as log_density_gmm
 from minority_diffusion.minority import minority_score, tweedie
-from minority_diffusion.models import GmmScoreModel
+from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.schedule import build_schedule, perturb
 
 
@@ -164,13 +166,13 @@ def test_batch_self_exclusion_pooled_mode(brute_avg_knn, brute_lof):
 
 def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
     rng = np.random.default_rng(5)
-    # large N on the tree's candidates; at the default chunk all 3000 rows
+    # large N on the tree's candidates; at the default budget all 3000 rows
     # fit one block
     refset = rng.normal(size=(3000, 2))
     a = avg_knn_batch(refset, refset, 5, self_offset=0)
     for i in (0, 511, 512, 2999):
         assert a[i] == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
-    # chunk=1 caps a block at 3000 // 7 = 428 rows at the first width, so
+    # a budget of 428 rows of 7 candidates in 2-D at the first width, so
     # the scan crosses real block boundaries, and must not notice them
     blocks, rank = [], evaluation._rank
 
@@ -180,7 +182,8 @@ def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
 
     idx, dist = _knn_scan(refset, refset, 5, self_offset=0)
     monkeypatch.setattr(evaluation, "_rank", counting_rank)
-    small_idx, small_dist = _knn_scan(refset, refset, 5, self_offset=0, chunk=1)
+    monkeypatch.setattr(evaluation, "WINDOW_BYTES", 428 * 8 * 7 * 2)
+    small_idx, small_dist = _knn_scan(refset, refset, 5, self_offset=0)
     monkeypatch.undo()
     assert blocks[:8] == [428] * 7 + [4]
     np.testing.assert_array_equal(small_idx, idx)
@@ -190,7 +193,7 @@ def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
         assert small_dist[i].mean() == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
     # every point duplicated: every row ties at the first width and resolves
     # on the widened tree (widths 14 and 28), short of the full scan; rows
-    # that reach the full scan, in chunks, are checked by
+    # that reach the full scan, in blocks, are checked by
     # test_tied_rows_widen_on_the_tree_then_scan_in_full
     twice = np.tile(np.round(rng.normal(size=(700, 2)), 1), (2, 1))
     b = avg_knn_batch(twice, twice, 5, self_offset=0)
@@ -198,7 +201,7 @@ def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
         assert b[i] == brute_avg_knn(twice[i], twice, 5, exclude_index=i)
 
 
-def test_tied_rows_widen_on_the_tree_then_scan_in_full(brute_avg_knn):
+def test_tied_rows_widen_on_the_tree_then_scan_in_full(monkeypatch, brute_avg_knn):
     rng = np.random.default_rng(14)
     grid = np.round(rng.normal(size=(400, 2)), 1)
     # 45 points at the origin tie until the width covers all of them, so
@@ -207,10 +210,13 @@ def test_tied_rows_widen_on_the_tree_then_scan_in_full(brute_avg_knn):
     two[::4] = 0.5
     for pts, k in ((grid, 12), (two, 9)):
         idx, dist = _knn_scan(pts, pts, k, self_offset=0)
-        for chunk in (3, 7):  # blocks of a few rows, at every width
-            small_idx, small_dist = _knn_scan(pts, pts, k, self_offset=0, chunk=chunk)
+        # blocks of one row, and of 7 * n // width rows, at every width
+        for budget in (0, 7 * 8 * pts.size):
+            monkeypatch.setattr(evaluation, "WINDOW_BYTES", budget)
+            small_idx, small_dist = _knn_scan(pts, pts, k, self_offset=0)
             np.testing.assert_array_equal(small_idx, idx)
             np.testing.assert_array_equal(small_dist, dist)
+        monkeypatch.undo()
         for i in range(len(pts)):
             assert dist[i].mean() == brute_avg_knn(pts[i], pts, k, exclude_index=i)
 
@@ -246,6 +252,39 @@ def test_neighbor_search_exact_on_ties_and_duplicates(brute_avg_knn, brute_lof, 
         assert lof_b[i] == brute_lof(q, refset, k, exclude_index=skip)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_instances(), st.floats(0, 1))
+def test_neighbor_search_is_blind_to_the_block_budget(instance, share):
+    queries, refset, k, self_offset = instance
+    whole = 8 * len(queries) * refset.size  # every row in one block, at every width
+    scans = []
+    for budget in (0, int(share * whole), whole):  # from one row per block up
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "WINDOW_BYTES", budget)
+            scans.append(_knn_scan(queries, refset, k, self_offset))
+    for idx, dist in scans[:2]:
+        assert idx.tobytes() == scans[2][0].tobytes()
+        assert dist.tobytes() == scans[2][1].tobytes()
+
+
+def test_tie_heavy_scan_memory_stays_under_its_budget():
+    # 2000 rows repeating 4 distinct 16-D points: every row ties until the
+    # width reaches n, so each is scanned against all 2000 rows. Blocks of
+    # 512 such rows would hold over 100 MiB of (rows, n, D) differences.
+    rng = np.random.default_rng(15)
+    refset = np.tile(rng.normal(size=(4, 16)), (500, 1))
+    tracemalloc.start()
+    try:
+        idx, dist = _knn_scan(refset[:512], refset, 5, self_offset=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # each row's 5 nearest are copies of its own point at distance 0
+    assert np.array_equal(idx % 4, np.broadcast_to(np.arange(512)[:, None] % 4, idx.shape))
+    assert not dist.any()
+
+
 # ---- identity verifiers ---------------------------------------------------
 
 
@@ -255,6 +294,16 @@ def test_prop1_identity_pointwise(ring_model20):
     rep = verify_prop1(x0, ring_model20, m=3, rng=rng)
     assert rep["max_pointwise_rel_gap"] <= 1e-10
     assert rep["total_gap"] == pytest.approx(0.0, abs=1e-8 * abs(rep["total_lhs"]))
+
+
+def test_prop1_nan_gap_is_not_dropped(sched20):
+    # parameters of 1e200 overflow both sides to inf, so every gap is NaN;
+    # the largest gap must say so, not read 0.0
+    model = MlpEpsModel(sched20, dim=2, hidden=(8,), emb_dim=4)
+    model.params[...] = 1e200
+    with np.errstate(all="ignore"):
+        rep = verify_prop1(np.zeros(2), model, np.random.default_rng(0))
+    assert np.isnan(rep["max_pointwise_rel_gap"]) and np.isnan(rep["total_gap"])
 
 
 def test_corollary1_identity_pointwise(ring_model20, sched20):

@@ -14,7 +14,7 @@ from minority_diffusion import checkpoint, cli, harness, sampler
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
-from minority_diffusion.errors import CheckpointError, ConfigError
+from minority_diffusion.errors import CheckpointError, ConfigError, NumericDegeneracyError
 from minority_diffusion.evaluation import check_reference_room, reference_set, verify_prop1
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
@@ -164,6 +164,12 @@ def test_checkpoint_corruption_and_mismatch(tmp_path):
 
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "missing.ckpt", sched)
+
+    for bad in (np.nan, np.inf, -np.inf):
+        model.params[3] = bad
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path, sched)
 
 
 class _HalfWriter:
@@ -321,6 +327,11 @@ def test_run_experiment_writes_artifacts(tmp_path):
     # the resolved config reproduces the run
     again = ExperimentConfig.from_text((tmp_path / "resolved-config").read_text())
     assert again == cfg
+    # a summary that is not finite raises before any file is written
+    report.metric[0] = np.inf
+    with pytest.raises(NumericDegeneracyError, match="metric_mean"):
+        harness.write_report(report, str(tmp_path / "again"))
+    assert not (tmp_path / "again").exists()
 
 
 TRACE_COLUMNS = (
@@ -665,9 +676,10 @@ def test_cli_train_round_trip(tmp_path, capsys):
         ["train", "--steps", "2", "--train-size", "0"],
         ["train", "--steps", "2", "--batch-size", "0"],
         ["train", "--steps", "2", "--lr", "-0.001"],
+        ["train", "--steps", "1", "--lr", "inf"],
         ["verify", "--mc", "0"],
     ],
-    ids=["steps-0", "steps-negative", "train-size-0", "batch-size-0", "lr-negative", "verify-mc-0"],
+    ids=["steps-0", "steps-negative", "train-size-0", "batch-size-0", "lr-negative", "lr-inf", "verify-mc-0"],
 )
 def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, argv):
     cfg_path = write_small_config(tmp_path)
@@ -860,6 +872,34 @@ def test_cli_exit_codes(tmp_path, capsys):
         ]
     )
     assert rc == EXIT_NUMERIC
+    # a checkpoint is outside input: non-finite parameters are an I/O error
+    small = ExperimentConfig().with_overrides(SMALL)
+    model = MlpEpsModel(small.noise_schedule(), dim=2, hidden=(8,), emb_dim=4)
+    ckpt = tmp_path / "m.ckpt"
+    verify = ["verify", "--config", str(cfg_path), "--mc", "1"]
+    verify += ["--set", "model.kind=mlp", "--set", f"model.checkpoint={ckpt}"]
+    model.params[...] = np.inf
+    save_checkpoint(model, ckpt)
+    assert main(verify) == EXIT_IO
+    # finite parameters of 1e200 overflow the identity's sums: no JSON holds
+    # NaN or Infinity, so verify names the keys and exits 4
+    model.params[...] = 1e200
+    save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(verify)
+    out, err = capsys.readouterr()
+    assert rc == EXIT_NUMERIC and not out
+    assert "total_gap" in err and "max_pointwise_rel_gap" in err
+
+
+def test_to_json_names_every_non_finite_key():
+    assert harness.to_json({"a": 1.5, "b": [0, None, "x"], "c": True}) == json.dumps(
+        {"a": 1.5, "b": [0, None, "x"], "c": True}, indent=2, sort_keys=True
+    ) + "\n"
+    runs = [{"lof_mean": 1.0}, {"lof_mean": np.float64(np.inf)}]
+    with pytest.raises(NumericDegeneracyError, match=r"non-finite a, runs\.1\.lof_mean, shifts\.none in"):
+        harness.to_json({"a": np.nan, "runs": runs, "shifts": {"none": -np.inf}})
 
 
 def test_cli_eval_checks_samples_header(tmp_path, capsys):

@@ -173,6 +173,20 @@ def test_train_dsm_reports_divergence_step(sched20):
     assert exc.value.step == 0
 
 
+def test_train_dsm_rejects_non_finite_parameters_after_its_last_step(sched20):
+    # the loss of step 0 is finite; its infinite update is the last one, so
+    # no later loss can see it
+    model = MlpEpsModel(sched20, dim=2, seed=0)
+    opts = TrainOptions(steps=1)
+    opts.lr = np.inf  # past the check that TrainOptions makes
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDivergenceError, match="parameters") as exc:
+            train_dsm(model, np.zeros((16, 2)), sched20, opts, np.random.default_rng(0))
+    assert exc.value.step == 0
+    with pytest.raises(ConfigError, match="finite"):
+        TrainOptions(lr=np.inf)
+
+
 def test_train_dsm_rejects_empty_data(sched20):
     model = MlpEpsModel(sched20, dim=2, seed=0)
     with pytest.raises(ValueError):
