@@ -25,7 +25,6 @@ file reproduces the run exactly. Keys:
                             least one guided step must have a nonzero weight
   guidance.s_fraction       float in (0, 1)
   guidance.sg               none | sg_first | sg_second
-  guidance.distance         squared_error
   guidance.normalize        true | false
   guidance.mc_samples       positive integer
   run.chains                positive integer
@@ -73,7 +72,6 @@ class ExperimentConfig:
     guidance_interval: int = 5
     guidance_s_fraction: float = 0.8
     guidance_sg: str = "sg_second"
-    guidance_distance: str = "squared_error"
     guidance_normalize: bool = True
     guidance_mc_samples: int = 1
     run_chains: int = 1000
@@ -117,10 +115,6 @@ class ExperimentConfig:
         return sched
 
     def guidance_config(self) -> GuidanceConfig:
-        if self.guidance_distance != "squared_error":
-            raise ConfigError(
-                f"guidance.distance supports only squared_error, got {self.guidance_distance!r}"
-            )
         return GuidanceConfig(
             w=self.guidance_w,
             schedule_mode=self.guidance_schedule,

@@ -1,7 +1,12 @@
 """Shared fixtures: small schedules, benchmark mixtures, analytic models, an
 untrained MLP noise predictor (random weights are enough for gradient
 checks), the finite-difference objective of the guidance gradient, and the
-brute-force neighbour oracle with its instance generator."""
+brute-force neighbour oracle with its instance generator. The oracle is
+perfbench/oracle.py's NeighbourOracle, the one the benchmark gate runs."""
+
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +15,12 @@ from minority_diffusion.gmm import GmmSpec, benchmark
 from minority_diffusion.minority import tweedie
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.schedule import build_schedule
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracle.py")
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", _PATH)
+oracle = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+NeighbourOracle = oracle.NeighbourOracle
 
 
 @pytest.fixture(scope="session")
@@ -70,52 +81,6 @@ def sg_objective():
     return _sg_objective
 
 
-# ---- brute-force neighbour oracle ------------------------------------------
-#
-# Selection, tie-breaking, exclusion and reachability are all re-derived
-# naively here; the Euclidean distance primitive is shared with the
-# implementation (vectorized and row-wise norms differ in the last ulp,
-# which would make an "exact match" assertion meaningless).
-
-
-def _dist_row(point, refset):
-    return np.linalg.norm(refset - point, axis=1)
-
-
-def _brute_avg_knn(query, refset, k, exclude_index=None):
-    row = _dist_row(query, refset)
-    dists = [(float(row[i]), i) for i in range(len(refset)) if i != exclude_index]
-    dists.sort()  # ties by distance then index
-    return float(np.mean(np.array([d for d, _ in dists[:k]])))
-
-
-def _brute_lof(query, refset, k, exclude_index=None):
-    n = len(refset)
-
-    def neighbors(point, skip):
-        row = _dist_row(point, refset)
-        dists = sorted((float(row[j]), j) for j in range(n) if j not in skip)
-        top = dists[:k]
-        return [j for _, j in top], top[-1][0]
-
-    nbrs, kdist = {}, {}
-    for i in range(n):
-        nbrs[i], kdist[i] = neighbors(refset[i], {i})
-
-    def lrd(point, nb):
-        row = _dist_row(point, refset)
-        reach = [max(kdist[j], float(row[j])) for j in nb]
-        mean_reach = float(np.mean(np.array(reach)))
-        return np.inf if mean_reach == 0.0 else 1.0 / mean_reach
-
-    ref_lrd = {i: lrd(refset[i], nbrs[i]) for i in range(n)}
-    q_nbrs, _ = neighbors(query, set() if exclude_index is None else {exclude_index})
-    lrd_q = lrd(query, q_nbrs)
-    if np.isinf(lrd_q):
-        return 1.0
-    return float(np.mean([ref_lrd[j] for j in q_nbrs]) / lrd_q)
-
-
 def _random_instance(rng):
     """8 to 64 standard-normal 2-D points, the first few of them exact
     duplicates of the next few with probability 0.3."""
@@ -132,14 +97,14 @@ def brute_avg_knn():
     """brute_avg_knn(query, refset, k, exclude_index=None): the mean
     distance to the k nearest points of refset, refset[exclude_index] left
     out, ties by index."""
-    return _brute_avg_knn
+    return lambda q, refset, k, exclude_index=None: NeighbourOracle(refset, k).avg_knn(q, exclude_index)
 
 
 @pytest.fixture(scope="session")
 def brute_lof():
     """brute_lof(query, refset, k, exclude_index=None): the local outlier
     factor of query within refset, refset[exclude_index] left out."""
-    return _brute_lof
+    return lambda q, refset, k, exclude_index=None: NeighbourOracle(refset, k).lof(q, exclude_index)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 """Evaluation unit tests.
 
-Neighborhood metrics are compared against independent O(N^2) brute-force
-implementations (the oracle fixtures of conftest.py), including a property
-test on tie-heavy inputs; the reconstruction/noise identity against exact
-closed forms for the unit Gaussian (via a cubature that is exact for
-quadratics in the noise).
+Neighborhood metrics are compared against an independent O(N^2) brute-force
+oracle (the fixtures of conftest.py, which wrap the benchmark gate's
+perfbench/oracle.py), including a property test on tie-heavy inputs; the
+reconstruction/noise identity against exact closed forms for the unit
+Gaussian (via a cubature that is exact for quadratics in the noise).
 """
 
 import tracemalloc
@@ -301,8 +301,7 @@ def test_prop1_nan_gap_is_not_dropped(sched20):
     # the largest gap must say so, not read 0.0
     model = MlpEpsModel(sched20, dim=2, hidden=(8,), emb_dim=4)
     model.params[...] = 1e200
-    with np.errstate(all="ignore"):
-        rep = verify_prop1(np.zeros(2), model, np.random.default_rng(0))
+    rep = verify_prop1(np.zeros(2), model, np.random.default_rng(0))
     assert np.isnan(rep["max_pointwise_rel_gap"]) and np.isnan(rep["total_gap"])
 
 

@@ -1,5 +1,7 @@
 """Config, checkpoint, experiment-driver and CLI tests."""
 
+import importlib
+import itertools
 import json
 import os
 import struct
@@ -65,17 +67,9 @@ def test_config_rejects_unknown_key_and_bad_values():
     # a field name is not a config key
     with pytest.raises(ConfigError, match="unknown config key 'guidance_w'"):
         ExperimentConfig().with_overrides({"guidance_w": "0.3"})
-
-
-def test_config_guidance_distance_key_still_parses(tmp_path, capsys):
-    # resolved-config files carry guidance.distance; squared_error is its one value
-    text = ExperimentConfig().to_text()
-    assert "guidance.distance = squared_error" in text.splitlines()
-    assert ExperimentConfig.from_text(text) == ExperimentConfig()
-    cfg_path = write_small_config(tmp_path)
-    args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=feature_map"]
-    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    # the metric is always the squared error; its old key is gone
+    with pytest.raises(ConfigError, match="unknown config key 'guidance.distance'"):
+        ExperimentConfig().with_overrides({"guidance.distance": "squared_error"})
 
 
 def test_package_exports_resolve():
@@ -398,24 +392,44 @@ def test_trace_size_does_not_grow_with_chains(tmp_path):
     assert shapes[0][0] == len(guided_steps(20, 5))
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"guidance.w": "0.0"},
-        {"guidance.interval": "1"},
-        {"guidance.sg": "none"},
-        {"guidance.mc_samples": "2"},
-        {"guidance.kind": "naive"},
-        {"guidance.schedule": "switch_off", "guidance.t_mid": "10"},
-        {"guidance.schedule": "switch_off", "guidance.w": "0.0"},
-    ],
-)
+CALL_COUNT_CASES = [
+    {"guidance.w": "0.0"},
+    {"guidance.interval": "1"},
+    {"guidance.sg": "none"},
+    {"guidance.mc_samples": "2"},
+    {"guidance.kind": "naive"},
+    {"guidance.schedule": "switch_off", "guidance.t_mid": "10"},
+    {"guidance.schedule": "switch_off", "guidance.w": "0.0"},
+]
+
+
+@pytest.mark.parametrize("overrides", CALL_COUNT_CASES)
 def test_call_count_formula(overrides):
     cfg = small_config(**overrides)
     report = run_experiment(cfg)
     fwd, bwd = expected_call_counts(cfg)
     assert report.forward_calls == fwd
     assert report.backward_calls == bwd
+
+
+def test_benchmark_call_contract_is_the_call_count_formula(monkeypatch):
+    # the benchmark gate keeps its own copy of the formula; a change to one
+    # without the other fails here, not at benchmark time
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    bench = importlib.import_module("bench")
+    grid = itertools.product(
+        [{"guidance.schedule": "fixed"}, {"guidance.schedule": "variance"},
+         {"guidance.schedule": "switch_off", "guidance.t_mid": "7"}],
+        ["self", "naive"], ["none", "sg_first", "sg_second"], ["1", "3"], ["0", "10"], ["0.0", "0.2"], ["1", "5"],
+    )
+    cases = CALL_COUNT_CASES + [
+        {**mode, "guidance.kind": kind, "guidance.sg": sg, "guidance.mc_samples": mc,
+         "schedule.respace": respace, "guidance.w": w, "guidance.interval": n}
+        for mode, kind, sg, mc, respace, w, n in grid
+    ]
+    for overrides in cases:
+        cfg = small_config(**overrides)
+        assert bench.contract_call_counts(cfg) == expected_call_counts(cfg), overrides
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -882,15 +896,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     save_checkpoint(model, ckpt)
     assert main(verify) == EXIT_IO
     # finite parameters of 1e200 overflow the identity's sums: no JSON holds
-    # NaN or Infinity, so verify names the keys and exits 4
+    # NaN or Infinity, so verify names the keys and exits 4, with the typed
+    # error as its one line on stderr
     model.params[...] = 1e200
     save_checkpoint(model, ckpt)
-    capsys.readouterr()
-    with np.errstate(all="ignore"):
-        rc = main(verify)
-    out, err = capsys.readouterr()
-    assert rc == EXIT_NUMERIC and not out
-    assert "total_gap" in err and "max_pointwise_rel_gap" in err
+    for mode in ("prop1", "corollary1"):
+        capsys.readouterr()
+        rc = main(verify + ["--mode", mode])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERIC and not out
+        assert len(err.splitlines()) == 1, err
+        assert "total_gap" in err and "max_pointwise_rel_gap" in err
 
 
 def test_to_json_names_every_non_finite_key():
