@@ -51,7 +51,7 @@ def test_config_parsing_details():
     assert cfg.guidance_w == 2.0 and cfg.run_seed == 9
 
 
-def test_config_rejects_unknown_key_and_bad_values():
+def test_config_rejects_unknown_key_and_bad_values(tmp_path, capsys):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("guidance.omega = 1\n")
     with pytest.raises(ConfigError):
@@ -70,6 +70,10 @@ def test_config_rejects_unknown_key_and_bad_values():
     # the metric is always the squared error; its old key is gone
     with pytest.raises(ConfigError, match="unknown config key 'guidance.distance'"):
         ExperimentConfig().with_overrides({"guidance.distance": "squared_error"})
+    cfg_path = write_small_config(tmp_path)
+    args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=squared_error"]
+    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "guidance.distance" in capsys.readouterr().err
 
 
 def test_package_exports_resolve():
