@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .checkpoint import atomic_write, save_checkpoint
 from .config import _KEYMAP, ExperimentConfig
 from .errors import (
@@ -21,7 +19,8 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .evaluation import verify_corollary1, verify_prop1
-from .harness import RECIPE_BASES, RECIPES, evaluate, read_samples, run_experiment, score_model, to_json
+from .harness import RECIPE_BASES, RECIPES, evaluate, evaluation_summary, read_samples, run_experiment
+from .harness import score_model, to_json
 from .models import MlpEpsModel, TrainOptions, train_dsm
 from .sampler import stream
 from .schedule import perturb
@@ -136,15 +135,8 @@ def _cmd_sample(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     samples = read_samples(args.samples, cfg.gmm_spec().dim)
-    log_density, avg_knn, lof = evaluate(cfg, samples)
-    out = {
-        "log_density_mean": float(np.mean(log_density)),
-        "avg_knn_mean": float(np.mean(avg_knn)),
-        "lof_mean": float(np.mean(lof)),
-        "reference_mode": cfg.eval_reference,
-        "count": int(samples.shape[0]),
-    }
-    _emit(out, args.out)
+    out = evaluation_summary(cfg, *evaluate(cfg, samples))
+    _emit({**out, "count": int(samples.shape[0])}, args.out)
     return 0
 
 

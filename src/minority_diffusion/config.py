@@ -179,11 +179,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} expects a number, got {val!r}") from exc
             else:
                 coerced[name] = str(val)
-        cfg = replace(self, **coerced)
-        cfg.validate()
-        return cfg
+        return replace(self, **coerced)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, key in _KEYMAP:
             value = getattr(self, name)
             if isinstance(value, float) and not np.isfinite(value):

@@ -124,7 +124,7 @@ def avg_knn_batch(queries, refset, k: int, self_offset: int | None = None) -> np
 
 def _lrd(mean_reach: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.where(mean_reach == 0.0, np.inf, 1.0 / np.where(mean_reach == 0, 1, mean_reach))
+        return 1.0 / mean_reach  # inf where the reachability sum is 0
 
 
 def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.ndarray:

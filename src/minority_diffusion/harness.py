@@ -83,27 +83,40 @@ class RunReport:
     wall_clock: float
 
     def summary(self) -> dict:
-        ld = self.log_density
         return {
             "schema_version": SCHEMA_VERSION,
             "fingerprint": self.config.fingerprint(),
             "seed": self.config.run_seed,
             "chains": int(self.samples.shape[0]),
-            "log_density_mean": float(ld.mean()),
-            "log_density_se": float(ld.std(ddof=1) / np.sqrt(ld.size)) if ld.size > 1 else 0.0,
-            "log_density_q10": float(np.quantile(ld, 0.10)),
-            "log_density_q50": float(np.quantile(ld, 0.50)),
-            "log_density_q90": float(np.quantile(ld, 0.90)),
+            **evaluation_summary(self.config, self.log_density, self.avg_knn, self.lof),
             "metric_mean": float(np.mean(self.metric)),
-            "avg_knn_mean": float(np.mean(self.avg_knn)),
-            "avg_knn_se": float(np.std(self.avg_knn, ddof=1) / np.sqrt(self.avg_knn.size))
-            if self.avg_knn.size > 1
-            else 0.0,
-            "lof_mean": float(np.mean(self.lof)),
-            "reference_mode": self.config.eval_reference,
             "forward_calls": self.forward_calls,
             "backward_calls": self.backward_calls,
             "wall_clock_seconds": self.wall_clock,
+        }
+
+
+def _se(x: np.ndarray) -> float:
+    """Standard error of the mean, computed on x divided by a power of two:
+    that changes no bit of the result, and no square overflows unless it does."""
+    if x.size < 2:
+        return 0.0
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(x)))[1])
+    return float(scale * np.std(x / scale, ddof=1) / np.sqrt(x.size))
+
+
+def evaluation_summary(cfg: ExperimentConfig, log_density, avg_knn, lof) -> dict:
+    """Statistics of the evaluated columns that `sample` and `eval` report. An
+    overflow is not warned about: to_json reports the non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "log_density_mean": float(np.mean(log_density)),
+            "log_density_se": _se(log_density),
+            **{f"log_density_q{q}": float(np.quantile(log_density, q / 100)) for q in (10, 50, 90)},
+            "avg_knn_mean": float(np.mean(avg_knn)),
+            "avg_knn_se": _se(avg_knn),
+            "lof_mean": float(np.mean(lof)),
+            "reference_mode": cfg.eval_reference,
         }
 
 
@@ -159,7 +172,6 @@ def score_model(cfg: ExperimentConfig) -> ScoreModel:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Sample, evaluate, and (optionally) persist one experiment."""
-    cfg.validate()
     check_reference_room(cfg, cfg.run_chains)
     start = time.perf_counter()
     model = CallCountingModel(score_model(cfg))

@@ -275,28 +275,29 @@ def train_dsm(
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
     history = []
-    for step in range(opts.steps):
-        idx = rng.integers(0, data.shape[0], size=opts.batch_size)
-        x0 = data[idx]
-        t = rng.integers(1, sched.T + 1, size=opts.batch_size)
-        noise = rng.standard_normal(x0.shape)
-        xt = perturb(x0, t, noise, sched)
-        pred, acts = model._forward(xt, t)
-        resid = pred - noise
-        loss = float(np.sum(resid * resid) / opts.batch_size)
-        if not np.isfinite(loss):
-            raise TrainingDivergenceError(step)
-        history.append(loss)
-        model._backward(acts, 2.0 * resid / opts.batch_size, grad)
-        model.step_count += 1
-        k = step + 1  # bias correction tracks this call's Adam state
-        m *= opts.beta1
-        m += (1.0 - opts.beta1) * grad
-        v *= opts.beta2
-        v += (1.0 - opts.beta2) * grad * grad
-        mhat = m / (1.0 - opts.beta1**k)
-        vhat = v / (1.0 - opts.beta2**k)
-        model.params -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(opts.steps):
+            idx = rng.integers(0, data.shape[0], size=opts.batch_size)
+            x0 = data[idx]
+            t = rng.integers(1, sched.T + 1, size=opts.batch_size)
+            noise = rng.standard_normal(x0.shape)
+            xt = perturb(x0, t, noise, sched)
+            pred, acts = model._forward(xt, t)
+            resid = pred - noise
+            loss = float(np.sum(resid * resid) / opts.batch_size)
+            if not np.isfinite(loss):
+                raise TrainingDivergenceError(step)
+            history.append(loss)
+            model._backward(acts, 2.0 * resid / opts.batch_size, grad)
+            model.step_count += 1
+            k = step + 1  # bias correction tracks this call's Adam state
+            m *= opts.beta1
+            m += (1.0 - opts.beta1) * grad
+            v *= opts.beta2
+            v += (1.0 - opts.beta2) * grad * grad
+            mhat = m / (1.0 - opts.beta1**k)
+            vhat = v / (1.0 - opts.beta2**k)
+            model.params -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
     if not np.isfinite(model.params).all():  # the loss check never sees the last update
         raise TrainingDivergenceError(step, f"non-finite parameters after training step {step}")
     return history

@@ -236,16 +236,17 @@ def guided_sample(
     recorded = []
     for t in range(T, 0, -1):
         w_t = plan.get(t)
-        if w_t is not None:
-            g_vec, metric = guidance(x, t, cfg, model, next(eps_rows) if cfg.kind == "self" else None)
-        x = reverse_step(x, t, model, next(noise) if t > 1 else None)
-        if w_t is not None:
-            x = x + w_t * g_vec
-            if trace:
-                cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])
-                stats = np.column_stack([cols.mean(axis=1), np.quantile(cols, TRACE_QUANTILES, axis=1).T])
-                recorded.append((t, float(w_t), *stats.ravel().tolist()))
+        # an overflow in the step is not warned about: the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
+            if w_t is not None:
+                g_vec, metric = guidance(x, t, cfg, model, next(eps_rows) if cfg.kind == "self" else None)
+            x = reverse_step(x, t, model, next(noise) if t > 1 else None)
+            if w_t is not None:
+                x = x + w_t * g_vec
+                if trace:
+                    cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])
+                    stats = np.column_stack([cols.mean(axis=1), np.quantile(cols, TRACE_QUANTILES, axis=1).T])
+                    recorded.append((t, float(w_t), *stats.ravel().tolist()))
             sq_norm = np.sum(x * x, axis=-1)
         if not np.isfinite(sq_norm).all():
             raise NumericDegeneracyError(f"chain state with a non-finite squared norm at t = {t}")

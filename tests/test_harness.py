@@ -1,10 +1,13 @@
 """Config, checkpoint, experiment-driver and CLI tests."""
 
+import dataclasses
 import importlib
 import itertools
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 import minority_diffusion
 from minority_diffusion import checkpoint, cli, harness, sampler
 from minority_diffusion.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
+from minority_diffusion.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_TRAINING, main
 from minority_diffusion.config import _KEYMAP, ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError, NumericDegeneracyError
 from minority_diffusion.evaluation import check_reference_room, reference_set, verify_prop1
@@ -74,6 +77,14 @@ def test_config_rejects_unknown_key_and_bad_values(tmp_path, capsys):
     args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=squared_error"]
     assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "guidance.distance" in capsys.readouterr().err
+
+
+def test_config_is_checked_when_built():
+    # a config built directly, or by dataclasses.replace, is checked like a parsed one
+    with pytest.raises(ConfigError, match="run.chains"):
+        ExperimentConfig(run_chains=0)
+    with pytest.raises(ConfigError, match="guidance.t_mid"):
+        dataclasses.replace(ExperimentConfig(), guidance_schedule="switch_off")
 
 
 def test_package_exports_resolve():
@@ -550,8 +561,10 @@ def test_cli_eval_reproduces_sample(tmp_path, capsys, mode):
     args = ["eval", "--samples", str(run / "samples.csv"), "--config", str(run / "resolved-config")]
     assert main(args + ["--out", str(tmp_path / "eval.json")]) == 0
     evals = json.loads((tmp_path / "eval.json").read_text())
-    assert evals["avg_knn_mean"] == summary["avg_knn_mean"]
-    assert evals["lof_mean"] == summary["lof_mean"]
+    shared = sorted(evals.keys() & summary.keys())
+    assert shared == ["avg_knn_mean", "avg_knn_se", "lof_mean", "log_density_mean", "log_density_q10",
+                      "log_density_q50", "log_density_q90", "log_density_se", "reference_mode"]
+    assert {k: evals[k] for k in shared} == {k: summary[k] for k in shared}
 
 
 def test_cli_verify(tmp_path, capsys):
@@ -815,8 +828,7 @@ def test_cli_sample_any_set_value_runs_or_exits_cleanly(tmp_path_factory, capsys
         argv = ["sample", "--config", str(cfg_path), "--chains", "8", "--out", str(out)]
         for key, value in pairs:
             argv += ["--set", f"{key}={value}"]
-        with np.errstate(all="ignore"):
-            rc = main(argv)
+        rc = main(argv)
         err = capsys.readouterr().err
         assert rc in (0, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC), (pairs, rc, err)
         if rc == 0:
@@ -829,7 +841,7 @@ def test_cli_sample_any_set_value_runs_or_exits_cleanly(tmp_path_factory, capsys
             resolved = ExperimentConfig.from_text((out / "resolved-config").read_text())
             assert all(np.isfinite(v) for v in vars(resolved).values() if isinstance(v, float))
         else:
-            assert err.strip() and "Traceback" not in err
+            assert err.strip() and len(err.splitlines()) == 1 and "Traceback" not in err, (pairs, err)
         if rc == EXIT_CONFIG:
             assert sorted(p.name for p in work.iterdir()) == ["cfg.txt"]
 
@@ -913,6 +925,82 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "total_gap" in err and "max_pointwise_rel_gap" in err
 
 
+def _huge_checkpoint(path):
+    """A default-sized 2-D MLP checkpoint whose parameters are all 1e200:
+    finite, so it loads, but its outputs overflow."""
+    model = MlpEpsModel(ExperimentConfig().noise_schedule(), dim=2)
+    model.params[...] = 1e200
+    save_checkpoint(model, path)
+    return path
+
+
+_S = ["--set", "eval.reference_size=30", "--set", "eval.lof_k=4"]
+_ONE_POINT = ["--set", "benchmark=inline", "--set", "gmm.weights=1", "--set", "schedule.timesteps=10"]
+_FAR = [*_ONE_POINT, "--set", "gmm.means=1e200,0", "--set", "gmm.variances=1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sample", "--chains", "5", *_S, "--set", "model.kind=mlp", "--set", "model.checkpoint={huge}"], EXIT_NUMERIC),
+        (["sample", "--chains", "5", *_S, *_FAR], EXIT_NUMERIC),
+        (["sample", "--chains", "5", *_S, *_FAR, "--set", "guidance.w=0"], EXIT_NUMERIC),
+        (["sample", "--chains", "5", *_S, *_FAR, "--set", "guidance.kind=naive"], EXIT_NUMERIC),
+        (["train", "--steps", "50", "--lr", "1e300", "--train-size", "100"], EXIT_TRAINING),
+        # log densities of about -1e307 overflow their mean
+        (["eval", "--samples", "{far_samples}", "--set", "benchmark=inline", "--set", "gmm.weights=1",
+          "--set", "gmm.means=0,0", "--set", "gmm.variances=1e-306", "--set", "eval.reference=generated",
+          "--set", "eval.lof_k=4"], EXIT_NUMERIC),
+    ],
+    ids=["sample-mlp-1e200", "sample-far-mean", "sample-far-mean-unguided", "sample-far-mean-naive",
+         "train-lr-1e300", "eval-log-density-mean"],
+)
+def test_cli_overflow_prints_only_its_typed_error(tmp_path, capsys, argv, code):
+    # each run overflows on its way to a typed error; the error is the one
+    # line on stderr, with no numpy RuntimeWarning before it (pytest's
+    # filterwarnings would raise one out of main)
+    huge = _huge_checkpoint(tmp_path / "huge.ckpt")
+    far_samples = tmp_path / "far.csv"
+    rows = [f"{i},{3 + 0.1 * i!r},{-2 + 0.05 * i!r},0,0,0,0" for i in range(40)]
+    far_samples.write_text(harness._samples_header(2) + "\n" + "\n".join(rows) + "\n")
+    argv = [arg.format(huge=huge, far_samples=far_samples) for arg in argv]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sample_standard_error_of_far_apart_log_densities_is_finite(tmp_path, capsys):
+    # around a mean of variance 1e-300 one chain's log density is about
+    # -4e266: squared deviations from the mean overflow, the standard error not
+    argv = ["sample", "--chains", "5", *_S, *_ONE_POINT, "--set", "gmm.means=0,0", "--set", "gmm.variances=1e-300"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert not capsys.readouterr().err
+    log_density = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)[:, 3]
+    assert np.ptp(log_density) > 1e200
+    want = 1e266 * np.std(log_density / 1e266, ddof=1) / np.sqrt(log_density.size)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["log_density_se"] == pytest.approx(want, rel=1e-12)
+
+
+def test_cli_verify_overflow_is_one_stderr_line_in_a_process(tmp_path):
+    # in-process, pytest records a warning rather than printing it, and only
+    # a RuntimeWarning fails a test; a real process shows all of stderr
+    huge = _huge_checkpoint(tmp_path / "huge.ckpt")
+    src = os.path.dirname(os.path.dirname(minority_diffusion.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for mode in ("prop1", "corollary1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "minority_diffusion.cli", "verify", "--mc", "1", "--mode", mode,
+             "--set", "model.kind=mlp", "--set", f"model.checkpoint={huge}"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_NUMERIC and not proc.stdout
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numeric degeneracy")
+
+
 def test_to_json_names_every_non_finite_key():
     assert harness.to_json({"a": 1.5, "b": [0, None, "x"], "c": True}) == json.dumps(
         {"a": 1.5, "b": [0, None, "x"], "c": True}, indent=2, sort_keys=True
@@ -964,8 +1052,7 @@ def test_cli_eval_of_huge_samples_evaluates_or_is_numeric_error(tmp_path, capsys
     path = tmp_path / "samples.csv"
     path.write_text(harness._samples_header(2) + "\n" + "\n".join(rows) + "\n")
     args = ["eval", "--config", str(cfg_path), "--samples", str(path), "--set", "eval.reference=generated"]
-    with np.errstate(over="ignore"):  # the log density of such a point is -inf
-        assert main(args + ["--out", str(tmp_path / "eval.json")]) == code
+    assert main(args + ["--out", str(tmp_path / "eval.json")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:
@@ -1048,16 +1135,15 @@ def test_cli_eval_of_any_samples_file_evaluates_or_exits_cleanly(tmp_path, capsy
     def check(case):
         body, reference = case
         path.write_bytes(body)
-        with np.errstate(all="ignore"):
-            rc = main(["eval", "--config", str(cfg_path), "--samples", str(path),
-                       "--set", f"eval.reference={reference}"])
+        rc = main(["eval", "--config", str(cfg_path), "--samples", str(path),
+                   "--set", f"eval.reference={reference}"])
         out, err = capsys.readouterr()
         assert rc in (0, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC), (case, rc, err)
         if rc == 0:
             metrics = json.loads(out)
             assert all(np.isfinite(v) for v in metrics.values() if isinstance(v, float)), (case, metrics)
         else:
-            assert err.strip() and "Traceback" not in err
+            assert err.strip() and len(err.splitlines()) == 1 and "Traceback" not in err, (case, err)
 
     check()
 
@@ -1070,8 +1156,7 @@ def test_cli_sample_non_finite_state_is_numeric_error(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(harness, "GmmScoreModel", NanModel)
     cfg_path = write_small_config(tmp_path)
-    with np.errstate(invalid="ignore"):
-        rc = main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    rc = main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert rc == EXIT_NUMERIC
     assert "t = 7" in capsys.readouterr().err
     assert not (tmp_path / "run" / "samples.csv").exists()

@@ -167,9 +167,8 @@ def test_train_dsm_parameter_gradients_match_finite_differences(sched20):
 def test_train_dsm_reports_divergence_step(sched20):
     model = MlpEpsModel(sched20, dim=2, seed=0)
     bad = np.full((16, 2), np.inf)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(TrainingDivergenceError) as exc:
-            train_dsm(model, bad, sched20, TrainOptions(steps=5), np.random.default_rng(0))
+    with pytest.raises(TrainingDivergenceError) as exc:
+        train_dsm(model, bad, sched20, TrainOptions(steps=5), np.random.default_rng(0))
     assert exc.value.step == 0
 
 
@@ -179,9 +178,8 @@ def test_train_dsm_rejects_non_finite_parameters_after_its_last_step(sched20):
     model = MlpEpsModel(sched20, dim=2, seed=0)
     opts = TrainOptions(steps=1)
     opts.lr = np.inf  # past the check that TrainOptions makes
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(TrainingDivergenceError, match="parameters") as exc:
-            train_dsm(model, np.zeros((16, 2)), sched20, opts, np.random.default_rng(0))
+    with pytest.raises(TrainingDivergenceError, match="parameters") as exc:
+        train_dsm(model, np.zeros((16, 2)), sched20, opts, np.random.default_rng(0))
     assert exc.value.step == 0
     with pytest.raises(ConfigError, match="finite"):
         TrainOptions(lr=np.inf)

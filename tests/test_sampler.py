@@ -368,18 +368,16 @@ def test_two_pass_linearize_gives_same_samples(sg, ring_model20, mlp20, sched20)
 def test_non_finite_state_raises_with_timestep(t_bad, ring_model20):
     # t = 9 and t = 6 are guided steps (n = 3), t = 20 and t = 1 are not
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericDegeneracyError, match=f"t = {t_bad}$"):
-            guided_sample(NanAt(ring_model20, t_bad), cfg, chains=3, seed=0)
+    with pytest.raises(NumericDegeneracyError, match=f"t = {t_bad}$"):
+        guided_sample(NanAt(ring_model20, t_bad), cfg, chains=3, seed=0)
 
 
 @pytest.mark.parametrize("t_bad", [20, 9, 1])
 def test_state_with_overflowing_squared_norm_raises_with_timestep(t_bad, ring_model20):
     # a state of about 1e200 is finite, but its squared norm is not
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=3, s_fraction=0.6)
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericDegeneracyError, match=f"squared norm at t = {t_bad}$"):
-            guided_sample(NanAt(ring_model20, t_bad, 1e200), cfg, chains=3, seed=0)
+    with pytest.raises(NumericDegeneracyError, match=f"squared norm at t = {t_bad}$"):
+        guided_sample(NanAt(ring_model20, t_bad, 1e200), cfg, chains=3, seed=0)
 
 
 def test_trace_rows_hold_python_scalars(ring_model20):
