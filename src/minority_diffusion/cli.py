@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, sample, eval, verify, recipe. Exit codes: 0 on success,
-2 for configuration errors, 3 for I/O / checkpoint errors, 4 for numeric
-degeneracy, 5 for training divergence.
+2 for configuration errors and running out of memory, 3 for I/O /
+checkpoint errors, 4 for numeric degeneracy, 5 for training divergence.
 """
 
 from __future__ import annotations
@@ -187,6 +187,9 @@ def main(argv=None) -> int:
     except TrainingDivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    except MemoryError as exc:  # a config value or an argument sizes every large allocation
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

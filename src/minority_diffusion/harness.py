@@ -1,5 +1,6 @@
-"""Experiment driver: runs the guided sampler, evaluates the outputs, and
-writes deterministic CSV/JSON artifacts.
+"""Experiment driver: every run_experiment samples, evaluates and writes the
+four deterministic files below; a recipe runs named overrides of a base
+config, each into out_dir/<name>.
 
 Output files per run (all written atomically):
   samples.csv       one row per chain: final coordinates, exact clean
@@ -32,7 +33,7 @@ from .evaluation import avg_knn_batch, check_reference_room, lof_batch, referenc
 from .gmm import log_density as log_density_gmm
 from .minority import inference_metric
 from .models import CallCountingModel, GmmScoreModel, ScoreModel
-from .sampler import TRACE_HEADER, guidance_plan, guided_sample, stream
+from .sampler import SG_MODES, TRACE_HEADER, guidance_plan, guided_sample, stream
 from .schedule import perturb
 
 def _samples_header(dim: int) -> str:
@@ -170,22 +171,18 @@ def score_model(cfg: ExperimentConfig) -> ScoreModel:
     return model
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
-    """Sample, evaluate, and (optionally) persist one experiment."""
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> RunReport:
+    """Sample, evaluate and write one experiment; its model calls are the sampler's."""
     check_reference_room(cfg, cfg.run_chains)
     start = time.perf_counter()
-    model = CallCountingModel(score_model(cfg))
+    model = score_model(cfg)
+    counted = CallCountingModel(model)
     sched = model.sched
     gcfg = cfg.guidance_config()
 
     samples, trace_rows = guided_sample(
-        model, gcfg, chains=cfg.run_chains, seed=cfg.run_seed, trace=cfg.run_trace
+        counted, gcfg, chains=cfg.run_chains, seed=cfg.run_seed, trace=cfg.run_trace
     )
-
-    # snapshot before the metric evaluation below adds further model calls,
-    # so the reported counts match the sampler's analytic formula
-    forward_calls = model.forward_calls
-    backward_calls = model.backward_calls
 
     eval_rng = stream(cfg.run_seed, 2**32 - 1)
     t_metric = sched.step_at(cfg.eval_metric_t_fraction)
@@ -197,18 +194,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunRepo
     report = RunReport(
         config=cfg,
         samples=samples,
-        log_density=np.atleast_1d(log_density),
-        metric=np.atleast_1d(metric),
+        log_density=log_density,
+        metric=metric,
         avg_knn=knn_vals,
         lof=lof_vals,
         trace_rows=trace_rows,
-        forward_calls=forward_calls,
-        backward_calls=backward_calls,
+        forward_calls=counted.forward_calls,
+        backward_calls=counted.backward_calls,
         wall_clock=time.perf_counter() - start,
     )
-    if out_dir is not None:
-        write_report(report, out_dir)
+    write_report(report, out_dir)
     return report
+
+
+def checked_log_density(cfg: ExperimentConfig, samples: np.ndarray) -> np.ndarray:
+    """Exact log density of each sample under cfg's mixture; NumericDegeneracyError if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_density = log_density_gmm(samples, cfg.gmm_spec())
+    if not np.isfinite(log_density).all():
+        raise NumericDegeneracyError(
+            "non-finite log density: a sample is not finite, or its squared distance to a mean overflows"
+        )
+    return log_density
 
 
 def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
@@ -216,12 +223,7 @@ def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
     set; `sample` and `eval` both evaluate through here. A log density or
     LOF that is not finite raises NumericDegeneracyError."""
     refset, offset = reference_set(cfg, samples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_density = log_density_gmm(samples, cfg.gmm_spec())
-    if not np.isfinite(log_density).all():
-        raise NumericDegeneracyError(
-            "non-finite log density: a sample is not finite, or its squared distance to a mean overflows"
-        )
+    log_density = checked_log_density(cfg, samples)
     avg_knn = avg_knn_batch(samples, refset, cfg.eval_knn_k, self_offset=offset)
     lof = lof_batch(samples, refset, cfg.eval_lof_k, self_offset=offset)
     if not np.isfinite(lof).all():
@@ -278,17 +280,24 @@ _TABLE3A_CONFIG = ExperimentConfig(
 )
 
 
+def _run_all(out_dir: str, base: ExperimentConfig, overrides: dict) -> dict:
+    """{name: the run of base with overrides[name] into out_dir/name}, in dict order."""
+    return {n: run_experiment(base.with_overrides(o), os.path.join(out_dir, n)) for n, o in overrides.items()}
+
+
+def _write_summary(out_dir: str, summary: dict) -> dict:
+    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
+    return summary
+
+
 def recipe_table3a_analog(out_dir: str, base: ExperimentConfig) -> dict:
     """Sweep the guidance scale and report the density/AvgkNN trend."""
     sweep = [0.0, 4.0, 8.0]
-    results = []
-    for w in sweep:
-        run_cfg = base.with_overrides({"guidance.w": str(w)})
-        rep = run_experiment(run_cfg, os.path.join(out_dir, f"w={w}"))
-        results.append(rep.summary())
+    runs = _run_all(out_dir, base, {f"w={w}": {"guidance.w": str(w)} for w in sweep})
+    results = [rep.summary() for rep in runs.values()]
     means = [r["log_density_mean"] for r in results]
     knns = [r["avg_knn_mean"] for r in results]
-    summary = {
+    return _write_summary(out_dir, {
         "recipe": "table3a-analog",
         "w_values": sweep,
         "log_density_means": means,
@@ -298,26 +307,18 @@ def recipe_table3a_analog(out_dir: str, base: ExperimentConfig) -> dict:
         "log_density_strictly_decreasing": bool(all(a > b for a, b in zip(means, means[1:]))),
         "avg_knn_strictly_increasing": bool(all(a < b for a, b in zip(knns, knns[1:]))),
         "runs": results,
-    }
-    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
-    return summary
+    })
 
 
 def recipe_sg_ablation(out_dir: str, base: ExperimentConfig) -> dict:
     """Density shift per stop-gradient mode against the unguided baseline."""
-    baseline = run_experiment(
-        base.with_overrides({"guidance.w": "0.0"}), os.path.join(out_dir, "baseline")
+    runs = _run_all(
+        out_dir, base, {"baseline": {"guidance.w": "0.0"}, **{m: {"guidance.sg": m} for m in SG_MODES}}
     )
-    base_mean = baseline.summary()["log_density_mean"]
-    shifts = {}
-    for mode in ("none", "sg_first", "sg_second"):
-        rep = run_experiment(
-            base.with_overrides({"guidance.sg": mode}), os.path.join(out_dir, mode)
-        )
-        shifts[mode] = base_mean - rep.summary()["log_density_mean"]
-    summary = {"recipe": "sg-ablation", "baseline_log_density": base_mean, "shifts": shifts}
-    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
-    return summary
+    means = {name: rep.summary()["log_density_mean"] for name, rep in runs.items()}
+    base_mean = means.pop("baseline")
+    shifts = {mode: base_mean - mean for mode, mean in means.items()}
+    return _write_summary(out_dir, {"recipe": "sg-ablation", "baseline_log_density": base_mean, "shifts": shifts})
 
 
 def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
@@ -328,22 +329,21 @@ def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
     data = spec.sample(200_000, stream(base.run_seed, 7, 2))
     threshold = float(np.quantile(log_density_gmm(data, spec), 0.001))
 
-    baseline = run_experiment(
-        base.with_overrides({"guidance.w": "0.0"}), os.path.join(out_dir, "baseline")
-    )
-    proposed = run_experiment(base, os.path.join(out_dir, "proposed"))
-    base_mean = baseline.summary()["log_density_mean"]
-    target_shift = base_mean - proposed.summary()["log_density_mean"]
+    runs = _run_all(out_dir, base, {"baseline": {"guidance.w": "0.0"}, "proposed": {}})
+    base_mean = runs["baseline"].summary()["log_density_mean"]
+    target_shift = base_mean - runs["proposed"].summary()["log_density_mean"]
 
     # bisect the naive scale until its density shift matches the proposed one
-    # to a relative 2%; the summary says whether the last step got there
+    # to a relative 2%; the summary says whether the last step got there.
+    # A step only samples; the last scale tried is then run in full.
+    model = score_model(base)
     lo, hi = 0.0, max(4.0 * base.guidance_w, 0.5)
     for _ in range(12):
         mid = 0.5 * (lo + hi)
-        naive_rep = run_experiment(
-            base.with_overrides({"guidance.kind": "naive", "guidance.w": str(mid)})
-        )
-        naive_shift = base_mean - naive_rep.summary()["log_density_mean"]
+        naive = base.with_overrides({"guidance.kind": "naive", "guidance.w": str(mid)})
+        samples, _ = guided_sample(model, naive.guidance_config(), base.run_chains, base.run_seed)
+        with np.errstate(over="ignore"):  # as in evaluation_summary
+            naive_shift = base_mean - float(np.mean(checked_log_density(naive, samples)))
         gap = abs(naive_shift - target_shift) / max(abs(target_shift), 1e-9)
         if gap <= 0.02:
             break
@@ -351,23 +351,19 @@ def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
             lo = mid
         else:
             hi = mid
-    write_report(naive_rep, os.path.join(out_dir, "naive"))
+    naive_rep = run_experiment(naive, os.path.join(out_dir, "naive"))
 
-    frac_prop = float(np.mean(proposed.log_density < threshold))
-    frac_naive = float(np.mean(naive_rep.log_density < threshold))
-    summary = {
+    return _write_summary(out_dir, {
         "recipe": "naive-contrast",
         "density_threshold": threshold,
         "target_shift": target_shift,
-        "naive_w": naive_rep.config.guidance_w,
+        "naive_w": naive.guidance_w,
         "naive_shift": naive_shift,
         "relative_gap": gap,
         "converged": gap <= 0.02,
-        "off_support_fraction_proposed": frac_prop,
-        "off_support_fraction_naive": frac_naive,
-    }
-    atomic_write(os.path.join(out_dir, "recipe-summary.json"), to_json(summary))
-    return summary
+        "off_support_fraction_proposed": float(np.mean(runs["proposed"].log_density < threshold)),
+        "off_support_fraction_naive": float(np.mean(naive_rep.log_density < threshold)),
+    })
 
 
 RECIPES = {

@@ -419,9 +419,9 @@ CALL_COUNT_CASES = [
 
 
 @pytest.mark.parametrize("overrides", CALL_COUNT_CASES)
-def test_call_count_formula(overrides):
+def test_call_count_formula(overrides, tmp_path):
     cfg = small_config(**overrides)
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, str(tmp_path))
     fwd, bwd = expected_call_counts(cfg)
     assert report.forward_calls == fwd
     assert report.backward_calls == bwd
@@ -457,7 +457,7 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_reference_modes(tmp_path):
     for mode in ("real", "generated", "pooled"):
         cfg = small_config(**{"eval.reference": mode, "run.chains": "16"})
-        report = run_experiment(cfg)
+        report = run_experiment(cfg, str(tmp_path / mode))
         assert report.avg_knn.shape == (16,)
         assert np.all(np.isfinite(report.lof))
         # the size checked before sampling is the size of the set built after:
@@ -469,11 +469,11 @@ def test_reference_modes(tmp_path):
 
 
 @pytest.mark.parametrize("mc", [1, 3])
-def test_per_sample_metric_noise_stream(mc):
+def test_per_sample_metric_noise_stream(mc, tmp_path):
     # the perturbation noise, then the (mc, chains, D) metric draws, from the
     # run seed's evaluation stream: samples.csv depends on this order
     cfg = small_config(**{"eval.metric_mc": str(mc)})
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, str(tmp_path))
     spec, sched = cfg.gmm_spec(), cfg.noise_schedule()
     rng = stream(cfg.run_seed, 2**32 - 1)
     z = rng.standard_normal(report.samples.shape)
@@ -488,12 +488,13 @@ def test_per_sample_metric_noise_stream(mc):
 def test_run_experiment_requires_checkpoint(tmp_path):
     cfg = small_config(**{"model.kind": "mlp"})
     with pytest.raises(ConfigError):
-        run_experiment(cfg)
+        run_experiment(cfg, str(tmp_path / "a"))
     cfg = small_config(
         **{"model.kind": "mlp", "model.checkpoint": str(tmp_path / "nope.ckpt")}
     )
     with pytest.raises(CheckpointError):
-        run_experiment(cfg)
+        run_experiment(cfg, str(tmp_path / "b"))
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 def test_mlp_experiment_end_to_end(tmp_path):
@@ -1001,6 +1002,37 @@ def test_cli_verify_overflow_is_one_stderr_line_in_a_process(tmp_path):
         assert proc.stderr.startswith("numeric degeneracy")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--chains", "5", *_S, "--set", "schedule.timesteps=10", "--set", "guidance.mc_samples=100000000000"],
+        ["--chains", "3", "--set", "schedule.timesteps=10", "--set", "eval.reference=real",
+         "--set", "eval.reference_size=10000000000000"],
+    ],
+    ids=["guidance-tape", "reference-set"],
+)
+def test_cli_sample_out_of_memory_is_one_stderr_line_in_a_process(tmp_path, argv):
+    # the address space is capped, so the allocation fails whatever the
+    # machine's overcommit policy
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = os.path.dirname(os.path.dirname(minority_diffusion.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "minority_diffusion.cli", "sample", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert proc.returncode == EXIT_CONFIG and not proc.stdout
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("out of memory: ") and "Unable to allocate" in proc.stderr
+    assert not out.exists()
+
+
 def test_to_json_names_every_non_finite_key():
     assert harness.to_json({"a": 1.5, "b": [0, None, "x"], "c": True}) == json.dumps(
         {"a": 1.5, "b": [0, None, "x"], "c": True}, indent=2, sort_keys=True
@@ -1219,3 +1251,29 @@ def test_naive_contrast_reports_convergence(tmp_path, capsys):
     gap = abs(summary["naive_shift"] - summary["target_shift"]) / abs(summary["target_shift"])
     assert summary["relative_gap"] == pytest.approx(gap, rel=1e-12)
     assert summary["converged"] == (summary["relative_gap"] <= 0.02)
+    # the naive run written is the last scale the bisection tried, run again in full
+    naive = tmp_path / "rec" / "naive"
+    cfg = ExperimentConfig.from_text((naive / "resolved-config").read_text())
+    run_experiment(cfg, str(tmp_path / "again"))
+    assert (tmp_path / "again" / "samples.csv").read_bytes() == (naive / "samples.csv").read_bytes()
+    assert summary["naive_w"] == cfg.guidance_w
+
+
+def test_naive_contrast_non_finite_bisection_density_is_numeric_error(tmp_path, capsys, monkeypatch):
+    # a bisection step's samples are finite, but their squared distances to
+    # the means overflow: the recipe ends in the log density's typed error,
+    # with no numpy warning and nothing written for the naive run
+    guided_sample = harness.guided_sample
+
+    def far_naive(model, gcfg, *args, **kwargs):
+        samples, trace = guided_sample(model, gcfg, *args, **kwargs)
+        return (samples * 1e200 if gcfg.kind == "naive" else samples), trace
+
+    monkeypatch.setattr(harness, "guided_sample", far_naive)
+    cfg_path = write_small_config(tmp_path)
+    args = ["recipe", "--recipe", "naive-contrast", "--config", str(cfg_path), "--out", str(tmp_path / "rec")]
+    assert main(args) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1, err
+    assert err.startswith("numeric degeneracy: non-finite log density")
+    assert not (tmp_path / "rec" / "naive").exists()
