@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     opts = TrainOptions(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
     if args.train_size < 1:
-        raise ConfigError("--train-size must be >= 1")
+        raise ConfigError(f"--train-size must be >= 1, got {args.train_size}")
     spec = cfg.gmm_spec()
     sched = cfg.noise_schedule()
     rng = stream(cfg.run_seed, 11, 2)
@@ -142,6 +142,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
+    if args.mc < 1:
+        raise ConfigError(f"--mc must be >= 1, got {args.mc}")
     model = score_model(cfg)
     rng = stream(cfg.run_seed, 13, 2)
     x0 = cfg.gmm_spec().sample(1, rng)[0]

@@ -2,7 +2,8 @@
 
 The config file is plain text, one `key = value` per line, `#` comments.
 Every run writes back its fully resolved config, and re-running from that
-file reproduces the run exactly. Keys:
+file reproduces the run exactly. The guidance.* defaults are
+sampler.GuidanceConfig's. Keys:
 
   benchmark                 gmm8-ring | gmm2-imbalanced | inline
   gmm.weights               comma-separated (inline benchmark only)
@@ -65,15 +66,15 @@ class ExperimentConfig:
     schedule_respace: int = 0
     model_kind: str = "analytic"
     model_checkpoint: str = ""
-    guidance_kind: str = "self"
-    guidance_w: float = 0.2
-    guidance_schedule: str = "variance"
-    guidance_t_mid: int = 0
-    guidance_interval: int = 5
-    guidance_s_fraction: float = 0.8
-    guidance_sg: str = "sg_second"
-    guidance_normalize: bool = True
-    guidance_mc_samples: int = 1
+    guidance_kind: str = GuidanceConfig.kind
+    guidance_w: float = GuidanceConfig.w
+    guidance_schedule: str = GuidanceConfig.schedule_mode
+    guidance_t_mid: int = GuidanceConfig.t_mid
+    guidance_interval: int = GuidanceConfig.n
+    guidance_s_fraction: float = GuidanceConfig.s_fraction
+    guidance_sg: str = GuidanceConfig.sg_mode
+    guidance_normalize: bool = GuidanceConfig.normalize_linf
+    guidance_mc_samples: int = GuidanceConfig.mc_samples
     run_chains: int = 1000
     run_seed: int = 0
     run_trace: bool = False
@@ -162,23 +163,11 @@ class ExperimentConfig:
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"unknown config key {key!r}")
             name = _KEY_TO_FIELD[key]
-            current = getattr(self, name)
-            if isinstance(current, bool):
-                if str(val).lower() not in ("true", "false"):
-                    raise ConfigError(f"{key} expects true/false, got {val!r}")
-                coerced[name] = str(val).lower() == "true"
-            elif isinstance(current, int):
-                try:
-                    coerced[name] = int(val)
-                except ValueError as exc:
-                    raise ConfigError(f"{key} expects an integer, got {val!r}") from exc
-            elif isinstance(current, float):
-                try:
-                    coerced[name] = float(val)
-                except ValueError as exc:
-                    raise ConfigError(f"{key} expects a number, got {val!r}") from exc
-            else:
-                coerced[name] = str(val)
+            parse, expected = _PARSERS[_FIELD_TYPES[name]]
+            try:
+                coerced[name] = parse(val)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{key} expects {expected}, got {val!r}") from exc
         return replace(self, **coerced)
 
     def __post_init__(self) -> None:
@@ -186,25 +175,22 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{key} must be a finite number, got {value}")
-        if self.model_kind not in ("analytic", "mlp"):
-            raise ConfigError(f"model.kind must be analytic or mlp, got {self.model_kind!r}")
-        if self.run_chains < 1:
-            raise ConfigError("run.chains must be >= 1")
-        if self.run_seed < 0:
-            raise ConfigError("run.seed must be non-negative")
-        if self.eval_reference not in ("real", "generated", "pooled"):
-            raise ConfigError(f"eval.reference must be one of real, generated, pooled, got {self.eval_reference!r}")
-        if not (0.0 < self.eval_metric_t_fraction < 1.0):
-            raise ConfigError("eval.metric_t_fraction must lie in (0, 1)")
-        for key, least in (("eval.knn_k", 1), ("eval.lof_k", 1), ("eval.metric_mc", 1),
-                           ("eval.reference_size", 0), ("guidance.t_mid", 0)):
+        for key, choices in (("model.kind", ("analytic", "mlp")),
+                             ("eval.reference", ("real", "generated", "pooled"))):
+            value = getattr(self, _KEY_TO_FIELD[key])
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        for key, least in (("run.chains", 1), ("run.seed", 0), ("eval.knn_k", 1), ("eval.lof_k", 1),
+                           ("eval.metric_mc", 1), ("eval.reference_size", 0)):
             value = getattr(self, _KEY_TO_FIELD[key])
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if not (0.0 < self.eval_metric_t_fraction < 1.0):
+            raise ConfigError(f"eval.metric_t_fraction must lie in (0, 1), got {self.eval_metric_t_fraction}")
         self.gmm_spec()
         sched = self.noise_schedule()
-        if self.guidance_t_mid > sched.T:
-            raise ConfigError(f"guidance.t_mid = {self.guidance_t_mid} exceeds T = {sched.T}")
+        if not 0 <= self.guidance_t_mid <= sched.T:
+            raise ConfigError(f"guidance.t_mid must lie in 0..T = 0..{sched.T}, got {self.guidance_t_mid}")
         # the plan evaluates every guided step's weight, so a switch_off
         # t_mid of 0 fails here rather than in the sampler
         if not guidance_plan(self.guidance_config(), sched) and self.guidance_w > 0:
@@ -218,6 +204,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-# each key is its field name with the first "_" read as "."
+# each key is its field name with the first "_" read as "."; a field's
+# type is its default's, and _PARSERS reads a value of each type
 _KEYMAP = [(f.name, f.name.replace("_", ".", 1)) for f in fields(ExperimentConfig)]
 _KEY_TO_FIELD = {key: name for name, key in _KEYMAP}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_PARSERS = {bool: (lambda val: {"true": True, "false": False}[str(val).lower()], "true/false"),
+            int: (int, "an integer"), float: (float, "a number"), str: (str, "a string")}

@@ -120,12 +120,13 @@ class TrainOptions:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        # each message names the train flag that sets the option
         if self.steps < 1:
-            raise ConfigError("training steps must be >= 1")
+            raise ConfigError(f"--steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+            raise ConfigError(f"--batch-size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr < np.inf:
-            raise ConfigError("learning rate must be > 0 and finite")
+            raise ConfigError(f"--lr must be > 0 and finite, got {self.lr}")
 
 
 def _mlp_layer_sizes(dim: int, hidden, emb_dim: int) -> list[int]:

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from minority_diffusion.evaluation import check_reference_room, reference_set, v
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
 from minority_diffusion.minority import inference_metric
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
-from minority_diffusion.sampler import guided_steps, stream, weight
+from minority_diffusion.sampler import GuidanceConfig, guided_steps, stream, weight
 from minority_diffusion.schedule import build_schedule, perturb
 
 SMALL = {
@@ -59,9 +60,9 @@ def test_config_rejects_unknown_key_and_bad_values(tmp_path, capsys):
         ExperimentConfig.from_text("guidance.omega = 1\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("just a line without equals\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="run.chains expects an integer, got 'many'"):
         ExperimentConfig().with_overrides({"run.chains": "many"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="run.trace expects true/false, got 'yes'"):
         ExperimentConfig().with_overrides({"run.trace": "yes"})
     with pytest.raises(ConfigError):
         ExperimentConfig().with_overrides({"benchmark": "imagenet"})
@@ -85,6 +86,92 @@ def test_config_is_checked_when_built():
         ExperimentConfig(run_chains=0)
     with pytest.raises(ConfigError, match="guidance.t_mid"):
         dataclasses.replace(ExperimentConfig(), guidance_schedule="switch_off")
+
+
+def test_guidance_defaults_are_the_sampler_defaults():
+    assert ExperimentConfig().guidance_config() == GuidanceConfig()
+
+
+@st.composite
+def valid_configs(draw):
+    """Keyword arguments of an ExperimentConfig that accepts every value."""
+    # the gmm.* keys hold a valid mixture even when another benchmark ignores them
+    kw = {"benchmark": draw(st.sampled_from(["gmm8-ring", "gmm2-imbalanced", "inline"]))}
+    weights = draw(st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.75), (0.2, 0.3, 0.5)]))
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-10, 10)
+    means = [draw(st.lists(coord, min_size=dim, max_size=dim)) for _ in weights]
+    variances = draw(st.lists(st.floats(1e-3, 10), min_size=len(weights), max_size=len(weights)))
+    kw["gmm_weights"] = ",".join(map(repr, weights))
+    kw["gmm_means"] = ";".join(",".join(map(repr, row)) for row in means)
+    kw["gmm_variances"] = ",".join(map(repr, variances))
+    kw["schedule_kind"] = draw(st.sampled_from(["linear", "cosine"]))
+    T = kw["schedule_timesteps"] = draw(st.integers(1, 60))
+    # 0 is the scaled DDPM range, whose betas stay below 1 only for T > 20
+    explicit = st.floats(1e-4, 0.05)
+    start = draw(explicit if kw["schedule_kind"] == "linear" and T <= 20 else st.one_of(st.just(0.0), explicit))
+    kw["schedule_beta_start"] = start
+    kw["schedule_beta_end"] = draw(st.just(0.0) if start == 0.0 else st.floats(start, 0.5))
+    kw["schedule_cosine_offset"] = draw(st.floats(0.0, 0.1))
+    kw["schedule_respace"] = draw(st.sampled_from([0] + [d for d in range(1, T + 1) if T % d == 0]))
+    T = kw["schedule_respace"] or T
+    kw["model_kind"] = draw(st.sampled_from(["analytic", "mlp"]))
+    kw["model_checkpoint"] = draw(st.text("abc/._-", max_size=12))
+    kw["guidance_kind"] = draw(st.sampled_from(sampler.GUIDANCE_KINDS))
+    kw["guidance_w"] = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10)))
+    kw["guidance_schedule"] = draw(st.sampled_from(sampler.SCHEDULE_MODES))
+    n = kw["guidance_interval"] = draw(st.integers(1, T))
+    if kw["guidance_schedule"] == "switch_off":
+        # some multiple of the interval must lie in t_mid..T
+        kw["guidance_t_mid"] = draw(st.integers(1, n * draw(st.integers(1, T // n))))
+    else:
+        kw["guidance_t_mid"] = draw(st.integers(0, T))
+    open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    kw["guidance_s_fraction"] = draw(open_unit)
+    kw["guidance_sg"] = draw(st.sampled_from(sampler.SG_MODES))
+    kw["guidance_normalize"] = draw(st.booleans())
+    kw["guidance_mc_samples"] = draw(st.integers(1, 8))
+    kw["run_chains"] = draw(st.integers(1, 10**6))
+    kw["run_seed"] = draw(st.integers(0, 2**64))
+    kw["run_trace"] = draw(st.booleans())
+    kw["eval_knn_k"] = draw(st.integers(1, 100))
+    kw["eval_lof_k"] = draw(st.integers(1, 100))
+    kw["eval_reference"] = draw(st.sampled_from(["real", "generated", "pooled"]))
+    kw["eval_reference_size"] = draw(st.integers(0, 10**6))
+    kw["eval_metric_t_fraction"] = draw(open_unit)
+    kw["eval_metric_mc"] = draw(st.integers(1, 8))
+    return kw
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_configs())
+def test_config_text_round_trip_of_any_valid_config(kw):
+    assert set(kw) == {name for name, _ in _KEYMAP}
+    cfg = ExperimentConfig(**kw)
+    again = ExperimentConfig.from_text(cfg.to_text())
+    assert again == cfg
+    assert again.to_text() == cfg.to_text()
+
+
+# strings that no parser of the type reads, and the words its message uses
+_MALFORMED = {
+    bool: (st.sampled_from(["yes", "no", "1", "0", "on", "truth"]), "expects true/false"),
+    int: (st.sampled_from(["1.5", "1e3", "nan", "true", "0x10", "1,2"]), "expects an integer"),
+    float: (st.sampled_from(["true", "1,5", "0x1p3", "1.2.3", "e5", "--1"]), "expects a number"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_config_rejects_a_malformed_value_of_each_type(data):
+    default = ExperimentConfig()
+    name, key = data.draw(st.sampled_from([(n, k) for n, k in _KEYMAP if type(getattr(default, n)) in _MALFORMED]))
+    bad, wording = _MALFORMED[type(getattr(default, name))]
+    value = data.draw(st.one_of(bad, st.text("xyz?! ;", max_size=6)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} {wording}, got "):
+        default.with_overrides({key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} {wording}, got "):
+        ExperimentConfig.from_text(f"{key} = {value}\n")
 
 
 def test_package_exports_resolve():
@@ -717,7 +804,9 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
     cfg_path = write_small_config(tmp_path)
     out = tmp_path / "out"
     assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the flag that each row sets last
+    assert "config error" in err and argv[-2] in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
