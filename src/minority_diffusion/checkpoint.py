@@ -3,10 +3,11 @@
 Layout: 8-byte magic, uint32-LE header length, UTF-8 JSON header, then the
 payload: MlpEpsModel.params as stored, little-endian float64 in layer order
 (W1, b1, W2, b2, ...), each W row-major (fan_in, fan_out).
-The header records layer sizes, the schedule fingerprint and the training
-seed; loading validates all three so a checkpoint cannot silently be reused
-with a different diffusion process. Checkpoints, like every file the package
-writes, go through atomic_write, so a failed write leaves the old file whole.
+The header records dim, hidden and emb_dim (the network's shape), the
+schedule fingerprint and the training seed; loading validates all of them so
+a checkpoint cannot silently be reused with a different diffusion process.
+Checkpoints, like every file the package writes, go through atomic_write, so
+a failed write leaves the old file whole.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ def save_checkpoint(model: MlpEpsModel, path) -> None:
         "dim": model.dim,
         "hidden": list(model.hidden),
         "emb_dim": model.emb_dim,
-        "layer_sizes": model.layer_sizes,
         "schedule_fingerprint": model.sched.fingerprint(),
         "train_seed": model.seed,
         "step_count": model.step_count,

@@ -79,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the MLP noise predictor by denoising score matching")
     _add_common(p)
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--batch-size", type=int, default=128)
@@ -87,22 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run the (guided) sampler and evaluation")
     _add_common(p)
+    p.set_defaults(run=_cmd_sample)
     p.add_argument("--chains", type=int, help="override run.chains")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("eval", help="recompute metrics for a samples.csv file")
     _add_common(p)
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--samples", required=True, help="samples.csv from a previous run")
     p.add_argument("--out", help="where to write the metrics JSON (default stdout)")
 
     p = sub.add_parser("verify", help="numeric check of the metric/ELBO identity")
     _add_common(p)
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--mode", choices=["prop1", "corollary1"], default="prop1")
     p.add_argument("--mc", type=int, default=4)
     p.add_argument("--out", help="where to write the report JSON (default stdout)")
 
     p = sub.add_parser("recipe", help="run a named experiment recipe")
     _add_common(p)
+    p.set_defaults(run=_cmd_recipe)
     p.add_argument("--recipe", required=True, choices=sorted(RECIPES))
     p.add_argument("--chains", type=int, help="override run.chains")
     p.add_argument("--out", required=True, help="output directory")
@@ -164,19 +169,10 @@ def _cmd_recipe(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "sample": _cmd_sample,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "recipe": _cmd_recipe,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,9 +1,9 @@
 """Flat key = value experiment configuration.
 
-The config file is plain text, one `key = value` per line, `#` comments.
-Every run writes back its fully resolved config, and re-running from that
-file reproduces the run exactly. The guidance.* defaults are
-sampler.GuidanceConfig's. Keys:
+The config file is plain text, one `key = value` per line, `#` comments;
+a key set on two lines is an error. Every run writes back its fully resolved
+config, and re-running from that file reproduces the run exactly. The
+guidance.* defaults are sampler.GuidanceConfig's. Keys:
 
   benchmark                 gmm8-ring | gmm2-imbalanced | inline
   gmm.weights               comma-separated (inline benchmark only)
@@ -143,7 +143,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        values = {}
+        values, lines = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -153,7 +153,9 @@ class ExperimentConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            values[key] = val
+            if key in lines:
+                raise ConfigError(f"line {lineno}: {key} is already set on line {lines[key]}")
+            values[key], lines[key] = val, lineno
         return cls().with_overrides(values)
 
     def with_overrides(self, values: dict) -> "ExperimentConfig":

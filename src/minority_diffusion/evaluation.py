@@ -69,10 +69,10 @@ def _knn_scan(queries: np.ndarray, refset: np.ndarray, k: int, self_offset: int 
     the reference set starting at self_offset, each query excludes itself.
     Exact: a KD-tree proposes w = k + 2 candidates per query (room for the
     query itself and one spare), and their distances are recomputed with the
-    same primitive a full scan uses. A row whose candidate w - 1 (in distance
-    order) lies within rounding of its k-th distance may tie with a point the
-    tree left out, so it is asked again with twice the width; once the width
-    reaches n the row is scanned in full. A block's (rows, w, D) float64
+    same primitive a brute-force scan uses. A row whose candidate w - 1 (in
+    distance order) lies within rounding of its k-th distance may tie with a
+    point the tree left out, so it is asked again with twice the width, up to
+    all n points, which leave none out. A block's (rows, w, D) float64
     temporary fits WINDOW_BYTES, whatever n, D or ties, or holds one row.
     """
     # deferred: importing scipy.spatial costs more than most commands use it
@@ -101,12 +101,10 @@ def _knn_scan(queries: np.ndarray, refset: np.ndarray, k: int, self_offset: int 
         step = max(1, WINDOW_BYTES // (8 * width * refset.shape[1]))
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
-            if width < n:
-                cand = tree.query(queries[r], k=width)[1]
-                if (cand == n).any():  # the tree's pad for "no neighbour at a finite distance"
-                    raise NumericDegeneracyError("neighbor search found too few finite distances")
-            else:
-                cand = np.broadcast_to(np.arange(n), (r.size, n))
+            # reshaped: at width 1 the tree returns one index per query, not a row
+            cand = tree.query(queries[r], k=width)[1].reshape(r.size, width)
+            if (cand == n).any():  # the tree's pad for "no neighbour at a finite distance"
+                raise NumericDegeneracyError("neighbor search found too few finite distances")
             idx, dist = _rank(queries, refset, cand, r, self_offset)
             nbr_idx[r], nbr_dist[r] = idx[:, :k], dist[:, :k]
             # column w - 2 holds a non-self candidate ranked past the k-th
@@ -136,7 +134,6 @@ def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.nda
     happens for duplicated points, makes the density infinite; a query with
     infinite density gets LOF = 1 (duplicates are maximally inlying).
     """
-    refset = np.atleast_2d(np.asarray(refset, float))
     ref_idx, ref_dist = _knn_scan(refset, refset, k, self_offset=0)
     kdist = ref_dist[:, -1]
     ref_lrd = _lrd(np.maximum(kdist[ref_idx], ref_dist).mean(axis=1))

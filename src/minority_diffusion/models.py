@@ -170,10 +170,6 @@ class MlpEpsModel(ScoreModel):
         for a in arrays:
             self._pool.setdefault(a.shape, []).append(a)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return _mlp_layer_sizes(self.dim, self.hidden, self.emb_dim)
-
     @staticmethod
     def param_count(dim: int, hidden, emb_dim: int) -> int:
         """Number of parameters (weights and biases) of a network of this shape."""
@@ -184,7 +180,7 @@ class MlpEpsModel(ScoreModel):
         """(weights, biases): per-layer views of a vector laid out like
         params, which is W1, b1, W2, b2, ... with each W (fan_in, fan_out)."""
         weights, biases, pos = [], [], 0
-        sizes = self.layer_sizes
+        sizes = _mlp_layer_sizes(self.dim, self.hidden, self.emb_dim)
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             end = pos + fan_in * fan_out
             weights.append(flat[pos:end].reshape(fan_in, fan_out))

@@ -4,10 +4,6 @@ checks), the finite-difference objective of the guidance gradient, and the
 brute-force neighbour oracle with its instance generator. The oracle is
 perfbench/oracle.py's NeighbourOracle, the one the benchmark gate runs."""
 
-import importlib.util
-import os
-import sys
-
 import numpy as np
 import pytest
 
@@ -15,12 +11,7 @@ from minority_diffusion.gmm import GmmSpec, benchmark
 from minority_diffusion.minority import tweedie
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.schedule import build_schedule
-
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracle.py")
-_spec = importlib.util.spec_from_file_location("perfbench_oracle", _PATH)
-oracle = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
-NeighbourOracle = oracle.NeighbourOracle
+from oracle import NeighbourOracle
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,10 @@ def test_batch_versions_match_single_query(brute_avg_knn, brute_lof):
     for i, q in enumerate(queries):
         assert knn_b[i] == brute_avg_knn(q, refset, 5)
         assert lof_b[i] == pytest.approx(brute_lof(q, refset, 7), rel=1e-12)
+    # a one-point set: width 1, where the tree returns an index, not a row
+    one = avg_knn_batch(queries, refset[:1], 1)
+    for i, q in enumerate(queries):
+        assert one[i] == brute_avg_knn(q, refset[:1], 1)
 
 
 def test_batch_self_exclusion_pooled_mode(brute_avg_knn, brute_lof):
@@ -192,20 +196,21 @@ def test_knn_chunking_is_transparent(monkeypatch, brute_avg_knn):
     for i in (427, 428, 855, 856, 2567, 2568):
         assert small_dist[i].mean() == brute_avg_knn(refset[i], refset, 5, exclude_index=i)
     # every point duplicated: every row ties at the first width and resolves
-    # on the widened tree (widths 14 and 28), short of the full scan; rows
-    # that reach the full scan, in blocks, are checked by
-    # test_tied_rows_widen_on_the_tree_then_scan_in_full
+    # on the widened tree (widths 14 and 28), short of the whole set; rows
+    # that widen to the whole set, in blocks, are checked by
+    # test_tied_rows_widen_on_the_tree_up_to_every_point
     twice = np.tile(np.round(rng.normal(size=(700, 2)), 1), (2, 1))
     b = avg_knn_batch(twice, twice, 5, self_offset=0)
     for i in (0, 511, 512, 1023, 1024, 1399):
         assert b[i] == brute_avg_knn(twice[i], twice, 5, exclude_index=i)
 
 
-def test_tied_rows_widen_on_the_tree_then_scan_in_full(monkeypatch, brute_avg_knn):
+def test_tied_rows_widen_on_the_tree_up_to_every_point(monkeypatch, brute_avg_knn):
     rng = np.random.default_rng(14)
     grid = np.round(rng.normal(size=(400, 2)), 1)
     # 45 points at the origin tie until the width covers all of them, so
-    # their rows reach the full scan; the 15 at (0.5, 0.5) resolve on the tree
+    # their rows widen until the tree returns every point of the set; the 15
+    # at (0.5, 0.5) resolve at a narrower width
     two = np.zeros((60, 2))
     two[::4] = 0.5
     for pts, k in ((grid, 12), (two, 9)):

@@ -1,5 +1,5 @@
 """Golden artifacts: each benchmark workload, built at seed 1 at its smoke
-size, must reproduce the run recorded in golden.json.
+size and at its full size, must reproduce the run recorded in golden.json.
 
 Model calls must always match. Where numpy, scipy, BLAS and the CPU model
 match the recorded env, samples.csv and metrics.csv must be byte-identical.
@@ -11,25 +11,18 @@ the computed entry as JSON.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import platform
-import sys
 
 import numpy as np
 import pytest
 import scipy
+import workloads
 
 from minority_diffusion.harness import run_experiment
 
-_HERE = os.path.dirname(__file__)
-_PATH = os.path.join(_HERE, os.pardir, "perfbench", "workloads.py")
-_spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
-
-with open(os.path.join(_HERE, "golden.json")) as _fh:
+with open(os.path.join(os.path.dirname(__file__), "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 
 MEANS = ("log_density", "avg_knn")
@@ -63,9 +56,13 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(workloads.SETUP))
-def test_golden_artifacts(name, tmp_path):
-    cfg = workloads.setup(name, 1, str(tmp_path), smoke=True)
+@pytest.mark.parametrize(
+    "name, size",
+    [pytest.param(name, size, id=name if size == "smoke" else f"{name}-full")
+     for size in ("smoke", "full") for name in sorted(workloads.SETUP)],
+)
+def test_golden_artifacts(name, size, tmp_path):
+    cfg = workloads.setup(name, 1, str(tmp_path), smoke=size == "smoke")
     out = tmp_path / "run"
     summary = run_experiment(cfg, str(out)).summary()
     got = {
@@ -76,14 +73,14 @@ def test_golden_artifacts(name, tmp_path):
         **{f"{m}_{stat}": summary[f"{m}_{stat}"] for m in MEANS for stat in ("mean", "se")},
     }
     entry = json.dumps({name: got}, indent=2, sort_keys=True)
-    want = GOLDEN["workloads"][name]
+    want = GOLDEN[size][name]
     assert (got["forward_calls"], got["backward_calls"]) == (want["forward_calls"], want["backward_calls"]), entry
     if environment() == GOLDEN["env"]:
-        print(f"{name}: env matches golden.json, comparing sha256")
+        print(f"{name} ({size}): env matches golden.json, comparing sha256")
         assert got["samples_sha256"] == want["samples_sha256"], entry
         assert got["metrics_sha256"] == want["metrics_sha256"], entry
     else:
-        print(f"{name}: env differs from golden.json, comparing means within 4 standard errors")
+        print(f"{name} ({size}): env differs from golden.json, comparing means within 4 standard errors")
         for m in MEANS:
             gap = abs(got[f"{m}_mean"] - want[f"{m}_mean"])
             assert gap <= 4 * want[f"{m}_se"], entry

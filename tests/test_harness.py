@@ -1,7 +1,6 @@
 """Config, checkpoint, experiment-driver and CLI tests."""
 
 import dataclasses
-import importlib
 import itertools
 import json
 import os
@@ -10,6 +9,7 @@ import struct
 import subprocess
 import sys
 
+import bench
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +78,21 @@ def test_config_rejects_unknown_key_and_bad_values(tmp_path, capsys):
     args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=squared_error"]
     assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "guidance.distance" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_config_file_key_set_twice(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^line 3: guidance.w is already set on line 1$"):
+        ExperimentConfig.from_text("guidance.w = 0.1\n# again\nguidance.w = 0.1\n")
+    path = tmp_path / "twice.txt"
+    path.write_text("run.chains = 8\nguidance.w = 0.1\nguidance.w = 0.3\n")
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: line 3: guidance.w is already set on line 2\n"
+    assert not (tmp_path / "x").exists()
+    # a repeated --set is the documented override: the last one wins
+    args = cli.build_parser().parse_args(
+        ["sample", "--out", "x", "--set", "guidance.w=0.1", "--set", "guidance.w=0.3"]
+    )
+    assert cli._load_config(args).guidance_w == 0.3
 
 
 def test_config_is_checked_when_built():
@@ -236,6 +251,13 @@ def test_checkpoint_payload_is_params_in_layer_order(tmp_path):
     (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
     assert raw[len(MAGIC) + 4 + hlen :] == model.params.astype("<f8").tobytes()
     np.testing.assert_array_equal(load_checkpoint(path, sched).params, model.params)
+    # dim, hidden and emb_dim state the shape; a header that also lists the
+    # layer sizes, as version-1 checkpoints once did, loads all the same
+    header = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + hlen].decode())
+    assert "layer_sizes" not in header
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_checkpoint_bytes({**header, "layer_sizes": [6, 8, 5, 2]}, raw[len(MAGIC) + 4 + hlen :]))
+    assert load_checkpoint(old, sched).params.tobytes() == model.params.tobytes()
 
 
 def test_checkpoint_corruption_and_mismatch(tmp_path):
@@ -514,11 +536,9 @@ def test_call_count_formula(overrides, tmp_path):
     assert report.backward_calls == bwd
 
 
-def test_benchmark_call_contract_is_the_call_count_formula(monkeypatch):
+def test_benchmark_call_contract_is_the_call_count_formula():
     # the benchmark gate keeps its own copy of the formula; a change to one
     # without the other fails here, not at benchmark time
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-    bench = importlib.import_module("bench")
     grid = itertools.product(
         [{"guidance.schedule": "fixed"}, {"guidance.schedule": "variance"},
          {"guidance.schedule": "switch_off", "guidance.t_mid": "7"}],

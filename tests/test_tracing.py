@@ -4,19 +4,12 @@ resolve, and leaving Tracer.patched must put every original back.
 A renamed or deleted target would otherwise break only traced benchmark runs.
 """
 
-import importlib.util
-import os
-import sys
-
+import bench
 import numpy as np
+import tracing
 
 from minority_diffusion.models import MlpEpsModel
 from minority_diffusion.schedule import build_schedule
-
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
-tracing = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
 
 
 def test_tracer_patches_and_restores_every_target():
@@ -30,3 +23,8 @@ def test_tracer_patches_and_restores_every_target():
     for (owner, attr, _), fn in zip(tracing.TARGETS, originals):
         assert getattr(owner, attr) is fn, attr
     assert tracer.summary("run")["models.mlp_eps"]["calls"] == 1
+
+
+def test_tracer_is_the_benchmarks_own_module():
+    # tier-1 checks the module the benchmark runs, not a second copy of it
+    assert tracing is bench.tracing
