@@ -10,17 +10,20 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .checkpoint import atomic_write, save_checkpoint
-from .config import _KEYMAP, ExperimentConfig
+from .config import _KEYMAP, INT_BOUND, ExperimentConfig
 from .errors import (
     CheckpointError,
     ConfigError,
     NumericDegeneracyError,
     TrainingDivergenceError,
 )
-from .evaluation import verify_corollary1, verify_prop1
-from .harness import RECIPE_BASES, RECIPES, evaluate, evaluation_summary, read_samples, run_experiment
+from .evaluation import verify_prop1
+from .harness import RECIPES, evaluate, evaluation_summary, read_samples, run_experiment
 from .harness import score_model, to_json
+from .minority import tweedie
 from .models import MlpEpsModel, TrainOptions, train_dsm
 from .sampler import stream
 from .schedule import perturb
@@ -33,12 +36,15 @@ EXIT_TRAINING = 5
 
 def _load_config(args, base: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
     """`base`, or the --config file when given, with --set/--seed/--chains applied."""
+    for flag in ("steps", "batch_size", "train_size", "mc"):
+        if (value := getattr(args, flag, 0)) > INT_BOUND:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be <= {INT_BOUND}, got {value}")
     cfg = base
     if args.config:
         try:
             with open(args.config) as fh:
                 cfg = ExperimentConfig.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CheckpointError(f"cannot read config {args.config}: {exc}") from exc
     overrides = {}
     for item in args.set or []:
@@ -81,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(run=_cmd_train)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--steps", type=int, default=3000)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--steps", type=int, default=TrainOptions.steps)
+    p.add_argument("--batch-size", type=int, default=TrainOptions.batch_size)
+    p.add_argument("--lr", type=float, default=TrainOptions.lr)
     p.add_argument("--train-size", type=int, default=20000)
 
     p = sub.add_parser("sample", help="run the (guided) sampler and evaluation")
@@ -152,20 +158,18 @@ def _cmd_verify(args) -> int:
     model = score_model(cfg)
     rng = stream(cfg.run_seed, 13, 2)
     x0 = cfg.gmm_spec().sample(1, rng)[0]
-    if args.mode == "prop1":
-        report = verify_prop1(x0, model, rng, m=args.mc)
-    else:
+    if args.mode == "corollary1":  # the Tweedie surrogate of a noisy latent stands in for x0
         t = max(model.sched.T // 2, 1)
-        x_t = perturb(x0, t, rng.standard_normal(x0.shape), model.sched)
-        report = verify_corollary1(x_t, t, model, rng, m=args.mc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = tweedie(perturb(x0, t, rng.standard_normal(x0.shape), model.sched), t, model)
+    report = verify_prop1(x0, model, rng, m=args.mc)
     _emit({"mode": args.mode, **report}, args.out)
     return 0
 
 
 def _cmd_recipe(args) -> int:
-    cfg = _load_config(args, RECIPE_BASES[args.recipe])
-    summary = RECIPES[args.recipe](args.out, cfg)
-    _emit(summary)
+    recipe, base = RECIPES[args.recipe]
+    _emit(recipe(args.out, _load_config(args, base)))
     return 0
 
 

@@ -3,7 +3,8 @@
 The config file is plain text, one `key = value` per line, `#` comments;
 a key set on two lines is an error. Every run writes back its fully resolved
 config, and re-running from that file reproduces the run exactly. The
-guidance.* defaults are sampler.GuidanceConfig's. Keys:
+guidance.* defaults are sampler.GuidanceConfig's. Every integer key but
+run.seed, and every integer flag of the cli, is at most 2**31 - 1. Keys:
 
   benchmark                 gmm8-ring | gmm2-imbalanced | inline
   gmm.weights               comma-separated (inline benchmark only)
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import ConfigError
 from .gmm import GmmSpec, benchmark
 from .sampler import GuidanceConfig, guidance_plan
-from .schedule import NoiseSchedule, build_schedule, respace
+from .schedule import COSINE_OFFSET, NoiseSchedule, build_schedule, respace
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class ExperimentConfig:
     schedule_timesteps: int = 250
     schedule_beta_start: float = 0.0  # 0 = scaled default
     schedule_beta_end: float = 0.0
-    schedule_cosine_offset: float = 0.008
+    schedule_cosine_offset: float = COSINE_OFFSET
     schedule_respace: int = 0
     model_kind: str = "analytic"
     model_checkpoint: str = ""
@@ -177,6 +178,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigError(f"{key} must be a finite number, got {value}")
+            if isinstance(value, int) and value > INT_BOUND and key != "run.seed":
+                raise ConfigError(f"{key} must be <= {INT_BOUND}, got {value}")
         for key, choices in (("model.kind", ("analytic", "mlp")),
                              ("eval.reference", ("real", "generated", "pooled"))):
             value = getattr(self, _KEY_TO_FIELD[key])
@@ -213,3 +216,4 @@ _KEY_TO_FIELD = {key: name for name, key in _KEYMAP}
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 _PARSERS = {bool: (lambda val: {"true": True, "false": False}[str(val).lower()], "true/false"),
             int: (int, "an integer"), float: (float, "a number"), str: (str, "a string")}
+INT_BOUND = 2**31 - 1  # a larger integer sizes an array numpy cannot make, or a loop without end

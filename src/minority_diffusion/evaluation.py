@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericDegeneracyError
-from .minority import round_trip, tweedie
+from .minority import round_trip
 from .models import ScoreModel
 from .sampler import WINDOW_BYTES, stream
 from .schedule import perturb
@@ -154,8 +154,6 @@ def verify_prop1(x0: np.ndarray, model: ScoreModel, rng: np.random.Generator, m:
     draw (max_pointwise_rel_gap) and m (mc_samples). Overflow is not
     warned about: it leaves a non-finite value, which the caller reports.
     """
-    if m < 1:
-        raise ConfigError("mc samples must be >= 1")
     x0 = np.asarray(x0, float)
     sched = model.sched
     lhs = np.empty(sched.T)
@@ -180,9 +178,3 @@ def verify_prop1(x0: np.ndarray, model: ScoreModel, rng: np.random.Generator, m:
         "max_pointwise_rel_gap": worst,
         "mc_samples": m,
     }
-
-
-def verify_corollary1(x_t: np.ndarray, t: int, model: ScoreModel, rng: np.random.Generator, m: int = 1) -> dict:
-    """Same identity with the Tweedie surrogate of a noisy latent as the clean point."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return verify_prop1(tweedie(x_t, t, model), model, rng, m=m)

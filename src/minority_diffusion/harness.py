@@ -47,7 +47,7 @@ def read_samples(path: str, dim: int) -> np.ndarray:
     The header must start chain,x0..x{dim-1} and name no further coordinate,
     else ConfigError; an unreadable or malformed file raises CheckpointError.
     """
-    want = ["chain", *(f"x{i}" for i in range(dim))]
+    want = _samples_header(dim).split(",")[: dim + 1]
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\r\n").split(",")
@@ -256,8 +256,6 @@ def write_report(report: RunReport, out_dir: str) -> None:
 
 # ---- named recipes --------------------------------------------------------
 
-# Each recipe's base config (RECIPE_BASES), which the cli passes to the
-# recipe unless --config replaces it.
 # Desk-scale settings where the guidance effect is dominated by minority-mode
 # selection rather than off-support drift: a linear schedule contracts early
 # displacements away, the guidance window covers only the basin-commitment
@@ -366,13 +364,9 @@ def recipe_naive_contrast(out_dir: str, base: ExperimentConfig) -> dict:
     })
 
 
+# name: (recipe, the base config that the cli passes it unless --config replaces it)
 RECIPES = {
-    "table3a-analog": recipe_table3a_analog,
-    "sg-ablation": recipe_sg_ablation,
-    "naive-contrast": recipe_naive_contrast,
-}
-RECIPE_BASES = {
-    "table3a-analog": _TABLE3A_CONFIG,
-    "sg-ablation": _CALIBRATED_SHIFT_CONFIG,
-    "naive-contrast": _CALIBRATED_SHIFT_CONFIG,
+    "table3a-analog": (recipe_table3a_analog, _TABLE3A_CONFIG),
+    "sg-ablation": (recipe_sg_ablation, _CALIBRATED_SHIFT_CONFIG),
+    "naive-contrast": (recipe_naive_contrast, _CALIBRATED_SHIFT_CONFIG),
 }

@@ -61,8 +61,8 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     with SeedSequence([seed, *key]). Every stream of a run is keyed here:
 
       key           stream                            drawn by
-      (c, 0)        chain c's transition noise        guided_sample
-      (c, 1)        chain c's guidance noise          guided_sample
+      (c, 0)        chain c's transition noise        _tape, for guided_sample
+      (c, 1)        chain c's guidance noise          _tape, for guided_sample
       (2**32 - 1,)  per-sample metric noise           harness.run_experiment
       (2**32 - 2,)  real reference points             evaluation.reference_set
       (7, 2)        naive-contrast data               harness.recipe_naive_contrast
@@ -131,10 +131,8 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, ep
 def reverse_step(x: np.ndarray, t: int, model: ScoreModel, z) -> np.ndarray:
     """One reverse-chain transition x_t -> x_{t-1} with injected noise z.
 
-    At t = 1 the transition is its mean and z is not used.
+    At t = 1 the transition is its mean and z is not used; a t outside 1..T raises ValueError.
     """
-    if t < 1:
-        raise ValueError(f"cannot step below t = 1 (got t = {t})")
     beta = float(model.sched.beta(t))
     mu = (x + beta * model.score(x, t)) / np.sqrt(1.0 - beta)
     return mu if t == 1 else mu + np.sqrt(beta) * z
@@ -174,24 +172,26 @@ WINDOW_BYTES = 4 * 2**20
 WINDOW_MIN_ROWS = 32
 
 
-def _tape(rngs, rows: int, shape: tuple):
-    """Yield rows 0..rows-1, in order, of one noise tape of every chain,
+def _tape(seed: int, k: int, chains: int, rows: int, shape: tuple):
+    """Yield rows 0..rows-1, in order, of noise tape k of every chain,
     drawn a window of rows at a time into one reused buffer.
 
-    Chain c's tape is rngs[c].standard_normal((rows,) + shape); a row is
-    the array of shape shape[:-1] + (chains, shape[-1]) that holds that
-    row of every chain. The generator fills in C order, so the rows match
-    one draw of the whole tape. A row stays valid only until the next
-    window is drawn.
+    Chain c's tape is stream(seed, c, k).standard_normal((rows,) + shape);
+    a row is the array of shape shape[:-1] + (chains, shape[-1]) that holds
+    that row of every chain. The generator fills in C order, so the rows
+    match one draw of the whole tape. A row stays valid only until the next
+    window is drawn. The buffer is allocated before any stream is built, so
+    a tape too large for memory fails at its first allocation.
     """
-    row_bytes = 8 * len(rngs) * int(np.prod(shape))
+    row_bytes = 8 * chains * int(np.prod(shape))
     width = min(rows, max(WINDOW_MIN_ROWS, WINDOW_BYTES // row_bytes))
-    buf = np.empty((width, *shape[:-1], len(rngs), shape[-1]))
+    buf = np.empty((width, *shape[:-1], chains, shape[-1]))
+    rngs = [stream(seed, c, k) for c in range(chains)]
     for start in range(0, rows, width):
-        k = min(width, rows - start)
+        n = min(width, rows - start)
         for c, rng in enumerate(rngs):
-            buf[:k, ..., c, :] = rng.standard_normal((k, *shape))
-        yield from buf[:k]
+            buf[:n, ..., c, :] = rng.standard_normal((n, *shape))
+        yield from buf[:n]
 
 
 def guided_sample(
@@ -228,9 +228,9 @@ def guided_sample(
         raise ConfigError("need at least one chain")
     T, dim = model.sched.T, model.dim
     plan = guidance_plan(cfg, model.sched)
-    noise = _tape([stream(seed, c, 0) for c in range(chains)], T, (dim,))
+    noise = _tape(seed, 0, chains, T, (dim,))
     if plan and cfg.kind == "self":
-        eps_rows = _tape([stream(seed, c, 1) for c in range(chains)], len(plan), (cfg.mc_samples, dim))
+        eps_rows = _tape(seed, 1, chains, len(plan), (cfg.mc_samples, dim))
 
     x = next(noise).copy()
     recorded = []

@@ -19,6 +19,7 @@ from .errors import ConfigError
 _LINEAR_REFERENCE_T = 1000
 _LINEAR_BETA_START = 1e-4
 _LINEAR_BETA_END = 0.02
+COSINE_OFFSET = 0.008  # the cosine schedule's s: build_schedule's and the config's default
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def build_schedule(
     T: int,
     beta_start: float | None = None,
     beta_end: float | None = None,
-    cosine_offset: float = 0.008,
+    cosine_offset: float = COSINE_OFFSET,
 ) -> NoiseSchedule:
     """Construct a linear or cosine noise schedule with T steps.
 

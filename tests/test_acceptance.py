@@ -340,7 +340,7 @@ def test_criterion_12_recipe_reruns_byte_identical(capsys, tmp_path):
             "guidance.schedule": "fixed",
         }
     )
-    summary = RECIPES["sg-ablation"](str(tmp_path / "recipe"), base)
+    summary = RECIPES["sg-ablation"][0](str(tmp_path / "recipe"), base)
     assert set(summary["shifts"]) == {"none", "sg_first", "sg_second"}
     ok = True
     for sub in ("baseline", "none", "sg_first", "sg_second"):

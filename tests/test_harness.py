@@ -23,7 +23,7 @@ from minority_diffusion.config import _KEYMAP, ExperimentConfig
 from minority_diffusion.errors import CheckpointError, ConfigError, NumericDegeneracyError
 from minority_diffusion.evaluation import check_reference_room, reference_set, verify_prop1
 from minority_diffusion.harness import RECIPES, expected_call_counts, run_experiment
-from minority_diffusion.minority import inference_metric
+from minority_diffusion.minority import inference_metric, tweedie
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.sampler import GuidanceConfig, guided_steps, stream, weight
 from minority_diffusion.schedule import build_schedule, perturb
@@ -744,6 +744,21 @@ def test_cli_verify_uses_model_kind(tmp_path, capsys):
     assert got == {"mode": "prop1", **want}
 
 
+def test_cli_verify_corollary1_is_prop1_at_the_tweedie_surrogate(tmp_path, capsys):
+    # corollary1 noises x0 to T // 2 with the next draw of the verify stream
+    # and checks the identity at its Tweedie denoising, with the draws after
+    cfg_path = write_small_config(tmp_path)
+    assert main(["verify", "--config", str(cfg_path), "--mode", "corollary1", "--mc", "3"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    cfg = small_config()
+    model = GmmScoreModel(cfg.gmm_spec(), cfg.noise_schedule())
+    rng = stream(cfg.run_seed, 13, 2)
+    x0 = cfg.gmm_spec().sample(1, rng)[0]
+    t = model.sched.T // 2
+    surrogate = tweedie(perturb(x0, t, rng.standard_normal(2), model.sched), t, model)
+    assert got == {"mode": "corollary1", **verify_prop1(surrogate, model, rng, m=3)}
+
+
 def test_cli_verify_rejects_an_unusable_model(tmp_path, capsys):
     cfg_path = write_small_config(tmp_path)
     verify = ["verify", "--config", str(cfg_path), "--set", "model.kind=mlp"]
@@ -817,8 +832,14 @@ def test_cli_train_round_trip(tmp_path, capsys):
         ["train", "--steps", "2", "--lr", "-0.001"],
         ["train", "--steps", "1", "--lr", "inf"],
         ["verify", "--mc", "0"],
+        # above the integer bound 2**31 - 1: sizes numpy cannot allocate, or training without end
+        ["train", "--steps", "2", "--train-size", "99999999999999999999"],
+        ["train", "--steps", "2", "--batch-size", "99999999999999999999"],
+        ["train", "--steps", "99999999999999999999"],
+        ["verify", "--mc", "99999999999999999999"],
     ],
-    ids=["steps-0", "steps-negative", "train-size-0", "batch-size-0", "lr-negative", "lr-inf", "verify-mc-0"],
+    ids=["steps-0", "steps-negative", "train-size-0", "batch-size-0", "lr-negative", "lr-inf", "verify-mc-0",
+         "train-size-huge", "batch-size-huge", "steps-huge", "verify-mc-huge"],
 )
 def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, argv):
     cfg_path = write_small_config(tmp_path)
@@ -892,6 +913,13 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("eval", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
         ("train", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
         ("verify", [*_INLINE2, "gmm.variances=nan,1"], "gmm.variances"),
+        # every integer key but run.seed is at most 2**31 - 1
+        ("sample", ["guidance.mc_samples=100000000000"], "guidance.mc_samples"),
+        ("sample", ["guidance.mc_samples=4611686018427387904"], "guidance.mc_samples"),
+        ("sample", ["eval.metric_mc=99999999999999999999"], "eval.metric_mc"),
+        ("sample", ["eval.reference=real", "eval.reference_size=10000000000000"], "eval.reference_size"),
+        ("sample", ["schedule.timesteps=99999999999999999999"], "schedule.timesteps"),
+        ("train", ["run.chains=2147483648"], "run.chains"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(
@@ -918,7 +946,7 @@ def test_cli_rejects_eval_settings_that_cannot_work(
 
 
 _SET_KEYS = [key for _, key in _KEYMAP]
-_HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "", "x"]
+_HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e300", "", "x", "99999999999999999999", "4611686018427387904"]
 
 
 def test_cli_sample_any_set_value_runs_or_exits_cleanly(tmp_path_factory, capsys):
@@ -993,6 +1021,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unreadable inputs -> I/O error
     rc = main(["sample", "--config", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")])
     assert rc == EXIT_IO
+    binary = tmp_path / "utf16.txt"
+    binary.write_bytes(b"\xff\xfe\x00\x00" + "run.seed = 1\n".encode("utf-16-le"))
+    capsys.readouterr()
+    rc = main(["sample", "--config", str(binary), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: cannot read config") and len(err.splitlines()) == 1, err
     rc = main(["eval", "--config", str(cfg_path), "--samples", str(tmp_path / "missing.csv")])
     assert rc == EXIT_IO
     # a schedule whose terminal alpha_bar underflows the Tweedie floor
@@ -1114,15 +1149,17 @@ def test_cli_verify_overflow_is_one_stderr_line_in_a_process(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--chains", "5", *_S, "--set", "schedule.timesteps=10", "--set", "guidance.mc_samples=100000000000"],
+        ["--chains", "5", *_S, "--set", "schedule.timesteps=10", "--set", "guidance.mc_samples=1000000000"],
         ["--chains", "3", "--set", "schedule.timesteps=10", "--set", "eval.reference=real",
-         "--set", "eval.reference_size=10000000000000"],
+         "--set", "eval.reference_size=2000000000"],
+        ["--chains", "1000000000", "--set", "schedule.timesteps=10"],
     ],
-    ids=["guidance-tape", "reference-set"],
+    ids=["guidance-tape", "reference-set", "chains"],
 )
 def test_cli_sample_out_of_memory_is_one_stderr_line_in_a_process(tmp_path, argv):
     # the address space is capped, so the allocation fails whatever the
-    # machine's overcommit policy
+    # machine's overcommit policy; a noise tape is allocated before its
+    # chains' generators are built, so a billion chains fail at once
     import resource
 
     def cap():
@@ -1134,7 +1171,7 @@ def test_cli_sample_out_of_memory_is_one_stderr_line_in_a_process(tmp_path, argv
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "minority_diffusion.cli", "sample", *argv, "--out", str(out)],
-        env=env, capture_output=True, text=True, preexec_fn=cap,
+        env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60,
     )
     assert proc.returncode == EXIT_CONFIG and not proc.stdout
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

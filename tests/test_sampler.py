@@ -219,9 +219,10 @@ def test_ancestral_step_terminal_is_deterministic(unit_model20):
     np.testing.assert_array_equal(out1, reverse_step(x, 1, unit_model20, None))
 
 
-@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("t", [0, -1, 21])
 def test_reverse_step_rejects_t_below_one(t, unit_model20):
-    with pytest.raises(ValueError, match="cannot step below t = 1"):
+    # the schedule's own range check, which also covers t > T = 20
+    with pytest.raises(ValueError, match=rf"timestep {t} out of range 1\.\.20"):
         reverse_step(np.zeros(2), t, unit_model20, np.zeros(2))
 
 
@@ -422,7 +423,7 @@ def test_tape_rows_match_one_draw_and_are_taken_in_order():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "WINDOW_BYTES", 0)
         mp.setattr(sampler, "WINDOW_MIN_ROWS", 4)
-        tape = sampler._tape([stream(3, c, 1) for c in range(2)], 10, (2, 3))
+        tape = sampler._tape(3, 1, 2, 10, (2, 3))
         first = next(tape)  # a view into the reused buffer
         rows = [first.copy()] + [next(tape).copy() for _ in range(3)]
         assert np.array_equal(first, whole[0])
