@@ -41,46 +41,41 @@ def atomic_write(path, data) -> None:
         raise
 
 
-def save_checkpoint(model: MlpEpsModel, path) -> None:
-    header = {
-        "version": FORMAT_VERSION,
-        "dim": model.dim,
-        "hidden": list(model.hidden),
-        "emb_dim": model.emb_dim,
-        "schedule_fingerprint": model.sched.fingerprint(),
-        "train_seed": model.seed,
-        "step_count": model.step_count,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    params = model.params.astype("<f8", copy=False)
-    atomic_write(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob, params]))
-
-
 def _is_int(v, low: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
-def _check_header(header, path) -> None:
-    """Raise CheckpointError unless the header holds every key load_checkpoint
-    reads, with a usable type."""
+# header key: (its value for a model, whether loading accepts a value), in the order a
+# corrupt header's error names them; the version is checked first, alone, naming its value
+_HEADER = {
+    "version": (lambda m: FORMAT_VERSION, lambda v: v == FORMAT_VERSION),
+    "schedule_fingerprint": (lambda m: m.sched.fingerprint(), lambda v: isinstance(v, str)),
+    "dim": (lambda m: m.dim, lambda v: _is_int(v, 1)),
+    "hidden": (lambda m: list(m.hidden), lambda v: isinstance(v, list) and all(_is_int(h, 1) for h in v)),
+    "emb_dim": (lambda m: m.emb_dim, lambda v: _is_int(v, 2) and v % 2 == 0),  # sin and cos halves
+    "train_seed": (lambda m: m.seed, lambda v: _is_int(v, 0)),
+    "step_count": (lambda m: m.step_count, lambda v: _is_int(v, 0)),
+}
+
+
+def save_checkpoint(model: MlpEpsModel, path) -> None:
+    blob = json.dumps({key: value(model) for key, (value, _) in _HEADER.items()}, sort_keys=True).encode()
+    params = model.params.astype("<f8", copy=False)
+    atomic_write(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob, params]))
+
+
+def _checked_header(header, path) -> dict:
+    """The header, step_count (older files lack it) defaulting to 0; CheckpointError
+    unless it holds every key load_checkpoint reads, with a usable type."""
     if not isinstance(header, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}: not a JSON object")
     if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {header.get('version')} unsupported (expected {FORMAT_VERSION})"
-        )
-    hidden, emb_dim = header.get("hidden"), header.get("emb_dim")
-    checks = {
-        "schedule_fingerprint": isinstance(header.get("schedule_fingerprint"), str),
-        "dim": _is_int(header.get("dim"), 1),
-        "hidden": isinstance(hidden, list) and all(_is_int(h, 1) for h in hidden),
-        "emb_dim": _is_int(emb_dim, 2) and emb_dim % 2 == 0,  # sin and cos halves
-        "train_seed": _is_int(header.get("train_seed"), 0),
-        "step_count": _is_int(header.get("step_count", 0), 0),
-    }
-    bad = [key for key, ok in checks.items() if not ok]
+        raise CheckpointError(f"checkpoint version {header.get('version')} unsupported (expected {FORMAT_VERSION})")
+    header = {"step_count": 0, **header}
+    bad = [key for key, (_, accepts) in _HEADER.items() if not accepts(header.get(key))]
     if bad:
         raise CheckpointError(f"corrupt checkpoint header in {path}: missing or invalid {', '.join(bad)}")
+    return header
 
 
 def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
@@ -99,7 +94,7 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
     off += hlen
-    _check_header(header, path)
+    header = _checked_header(header, path)
     if header["schedule_fingerprint"] != sched.fingerprint():
         raise CheckpointError(
             "checkpoint was trained against a different noise schedule "
@@ -120,7 +115,7 @@ def load_checkpoint(path, sched: NoiseSchedule) -> MlpEpsModel:
         emb_dim=header["emb_dim"],
         seed=header["train_seed"],
     )
-    model.step_count = header.get("step_count", 0)
+    model.step_count = header["step_count"]
     model.params[...] = np.frombuffer(raw, dtype="<f8", offset=off)
     if not np.isfinite(model.params).all():
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")

@@ -126,11 +126,10 @@ def _cmd_train(args) -> int:
     if args.train_size < 1:
         raise ConfigError(f"--train-size must be >= 1, got {args.train_size}")
     spec = cfg.gmm_spec()
-    sched = cfg.noise_schedule()
     rng = stream(cfg.run_seed, 11, 2)
     data = spec.sample(args.train_size, rng)
-    model = MlpEpsModel(sched, dim=spec.dim, seed=cfg.run_seed)
-    history = train_dsm(model, data, sched, opts, rng)
+    model = MlpEpsModel(cfg.noise_schedule(), dim=spec.dim, seed=cfg.run_seed)
+    history = train_dsm(model, data, model.sched, opts, rng)
     save_checkpoint(model, args.out)
     print(f"trained {args.steps} steps, final loss {history[-1]:.6f}, saved {args.out}")
     return 0

@@ -132,15 +132,7 @@ class ExperimentConfig:
     # ---- flat text form ---------------------------------------------------
 
     def to_text(self) -> str:
-        lines = []
-        for name, key in _KEYMAP:
-            val = getattr(self, name)
-            if isinstance(val, bool):
-                val = "true" if val else "false"
-            elif isinstance(val, float):
-                val = repr(val)
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_FIELD_CODECS[name][1](getattr(self, name))}\n" for name, key in _KEYMAP)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -166,7 +158,7 @@ class ExperimentConfig:
             if key not in _KEY_TO_FIELD:
                 raise ConfigError(f"unknown config key {key!r}")
             name = _KEY_TO_FIELD[key]
-            parse, expected = _PARSERS[_FIELD_TYPES[name]]
+            parse, _, expected = _FIELD_CODECS[name]
             try:
                 coerced[name] = parse(val)
             except (KeyError, ValueError) as exc:
@@ -209,11 +201,13 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-# each key is its field name with the first "_" read as "."; a field's
-# type is its default's, and _PARSERS reads a value of each type
+# each key is its field name with the first "_" read as "."; a field's type is
+# its default's, and per type _TYPE_CODECS holds how a value is read, how
+# to_text writes it, and what a value that does not read was expected to be
 _KEYMAP = [(f.name, f.name.replace("_", ".", 1)) for f in fields(ExperimentConfig)]
 _KEY_TO_FIELD = {key: name for name, key in _KEYMAP}
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-_PARSERS = {bool: (lambda val: {"true": True, "false": False}[str(val).lower()], "true/false"),
-            int: (int, "an integer"), float: (float, "a number"), str: (str, "a string")}
+_TYPE_CODECS = {bool: (lambda val: {"true": True, "false": False}[str(val).lower()],
+                       lambda val: "true" if val else "false", "true/false"),
+                int: (int, str, "an integer"), float: (float, repr, "a number"), str: (str, str, "a string")}
+_FIELD_CODECS = {f.name: _TYPE_CODECS[type(f.default)] for f in fields(ExperimentConfig)}
 INT_BOUND = 2**31 - 1  # a larger integer sizes an array numpy cannot make, or a loop without end

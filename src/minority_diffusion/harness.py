@@ -36,9 +36,12 @@ from .models import CallCountingModel, GmmScoreModel, ScoreModel
 from .sampler import SG_MODES, TRACE_HEADER, guidance_plan, guided_sample, stream
 from .schedule import perturb
 
+# samples.csv's columns after the coordinates, each named by its RunReport field
+_RESULT_COLUMNS = ("log_density", "metric", "avg_knn", "lof")
+
+
 def _samples_header(dim: int) -> str:
-    coords = ",".join(f"x{i}" for i in range(dim))
-    return f"chain,{coords},log_density,metric,avg_knn,lof"
+    return ",".join(("chain", *(f"x{i}" for i in range(dim)), *_RESULT_COLUMNS))
 
 
 def read_samples(path: str, dim: int) -> np.ndarray:
@@ -236,18 +239,13 @@ def write_report(report: RunReport, out_dir: str) -> None:
     summary = to_json(report.summary())  # a non-finite summary writes nothing
     try:
         os.makedirs(out_dir, exist_ok=True)
+        chains, dim = report.samples.shape
+        columns = [*report.samples.T.tolist(), *(getattr(report, name).tolist() for name in _RESULT_COLUMNS)]
         # floats are written as repr of Python floats (tolist), which round-trip exactly
-        lines = [_samples_header(report.samples.shape[1])]
-        columns = (report.log_density, report.metric, report.avg_knn, report.lof)
-        for c, (coords, ld, mval, knn, lof) in enumerate(
-            zip(report.samples.tolist(), *(col.tolist() for col in columns))
-        ):
-            lines.append(f"{c},{','.join(map(repr, coords))},{ld!r},{mval!r},{knn!r},{lof!r}")
-        atomic_write(os.path.join(out_dir, "samples.csv"), "\n".join(lines) + "\n")
-
-        trace = [TRACE_HEADER, *(",".join(map(repr, row)) for row in report.trace_rows)]
-        atomic_write(os.path.join(out_dir, "metrics.csv"), "\n".join(trace) + "\n")
-
+        for name, header, rows in (("samples.csv", _samples_header(dim), zip(range(chains), *columns)),
+                                   ("metrics.csv", TRACE_HEADER, report.trace_rows)):
+            text = "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+            atomic_write(os.path.join(out_dir, name), text)
         atomic_write(os.path.join(out_dir, "summary.json"), summary)
         atomic_write(os.path.join(out_dir, "resolved-config"), report.config.to_text())
     except OSError as exc:

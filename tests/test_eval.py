@@ -28,6 +28,7 @@ from minority_diffusion.gmm import log_density as log_density_gmm
 from minority_diffusion.minority import minority_score, tweedie
 from minority_diffusion.models import GmmScoreModel, MlpEpsModel
 from minority_diffusion.schedule import build_schedule, perturb
+from oracle import NeighbourOracle
 
 
 # ---- kNN / LOF ------------------------------------------------------------
@@ -225,6 +226,18 @@ def test_tied_rows_widen_on_the_tree_up_to_every_point(monkeypatch, brute_avg_kn
             assert dist[i].mean() == brute_avg_knn(pts[i], pts, k, exclude_index=i)
 
 
+def test_near_ties_widen_like_exact_ties():
+    # unit-circle points sit at distance 1 from the origin up to rounding:
+    # the scan's distances make hundreds of them tie exactly, which the
+    # tree's own arithmetic orders otherwise, so the scan must widen
+    theta = np.random.default_rng(0).uniform(0.0, 2 * np.pi, 400)
+    ref = np.column_stack([np.cos(theta), np.sin(theta)])
+    idx, dist = _knn_scan(np.zeros((1, 2)), ref, 5)
+    want_idx, want_dist = NeighbourOracle(ref, 5).nearest(np.zeros(2))
+    np.testing.assert_array_equal(idx[0], want_idx)
+    np.testing.assert_array_equal(dist[0], want_dist)
+
+
 @st.composite
 def tie_heavy_instances(draw):
     """(queries, refset, k, self_offset) on a 0.1 grid, with exact duplicates."""
@@ -307,6 +320,29 @@ def test_prop1_nan_gap_is_not_dropped(sched20):
     model.params[...] = 1e200
     rep = verify_prop1(np.zeros(2), model, np.random.default_rng(0))
     assert np.isnan(rep["max_pointwise_rel_gap"]) and np.isnan(rep["total_gap"])
+
+
+def test_prop1_gap_is_relative_where_the_identity_fails(sched20):
+    # eps is the network's plus 0.5, while the Tweedie side reads the network
+    # through linearize: the sides differ by O(1), and the reported gap must
+    # be the largest |lhs - rhs| / |rhs| of any draw
+    class Offset(MlpEpsModel):
+        def eps(self, x, t):
+            return super().eps(x, t) + 0.5
+
+    model = Offset(sched20, dim=2, hidden=(8,), emb_dim=4, seed=1)
+    x0 = np.random.default_rng(2).normal(size=(6, 2))
+    rep = verify_prop1(x0, model, np.random.default_rng(3), m=2)
+    rng, worst = np.random.default_rng(3), 0.0
+    for t in range(1, sched20.T + 1):
+        ab = sched20.alpha_bar(t)
+        for eps in rng.standard_normal((2, 6, 2)):
+            x_t = perturb(x0, t, eps, sched20)
+            lhs = ab / (1 - ab) * np.sum((x0 - tweedie(x_t, t, model)) ** 2, axis=-1)
+            rhs = np.sum((eps - model.eps(x_t, t)) ** 2, axis=-1)
+            worst = max(worst, np.max(np.abs(lhs - rhs) / rhs))
+    assert worst > 0.1
+    assert rep["max_pointwise_rel_gap"] == pytest.approx(worst, rel=1e-9)
 
 
 def test_corollary1_identity_pointwise(ring_model20, sched20):

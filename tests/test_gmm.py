@@ -284,8 +284,9 @@ def test_sample_component_frequencies_separated_ring():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         GmmSpec(weights=np.array([0.6, 0.6]), means=np.zeros((2, 2)), variances=np.ones(2))
-    with pytest.raises(ConfigError):
-        GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.array([-1.0]))
+    for variance in (-1.0, 0.0):
+        with pytest.raises(ConfigError, match="gmm.variances"):
+            GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.array([variance]))
     with pytest.raises(ConfigError):
         GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((3, 2)), variances=np.ones(2))
     # NaN compares False both ways, so each check must fail on it

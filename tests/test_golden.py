@@ -5,7 +5,9 @@ Model calls must always match. Where numpy, scipy, BLAS and the CPU model
 match the recorded env, samples.csv and metrics.csv must be byte-identical.
 Elsewhere each summary mean must lie within 4 of its recorded standard
 errors: the guided chain amplifies last-bit arithmetic differences, so
-byte-identity holds only under identical arithmetic. A change that moves an
+byte-identity holds only under identical arithmetic. A workload that runs
+with run.trace off writes only the trace header to metrics.csv, so its
+metrics sha256 pins that header and nothing of the run. A change that moves an
 artifact on purpose updates golden.json by hand; on failure the test prints
 the computed entry as JSON.
 """
@@ -21,6 +23,7 @@ import scipy
 import workloads
 
 from minority_diffusion.harness import run_experiment
+from minority_diffusion.sampler import TRACE_HEADER
 
 with open(os.path.join(os.path.dirname(__file__), "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
@@ -65,6 +68,8 @@ def test_golden_artifacts(name, size, tmp_path):
     cfg = workloads.setup(name, 1, str(tmp_path), smoke=size == "smoke")
     out = tmp_path / "run"
     summary = run_experiment(cfg, str(out)).summary()
+    if not cfg.run_trace:
+        assert (out / "metrics.csv").read_text() == TRACE_HEADER + "\n"
     got = {
         "samples_sha256": _sha256(out / "samples.csv"),
         "metrics_sha256": _sha256(out / "metrics.csv"),

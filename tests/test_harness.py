@@ -383,6 +383,20 @@ def test_checkpoint_header_errors_are_typed(tmp_path, capsys, mutate):
     assert main(args + ["--out", str(tmp_path / "run")]) == EXIT_IO
 
 
+def test_checkpoint_step_count_default_and_error_order(tmp_path):
+    # a header without step_count, as older files have, loads at step 0; a
+    # corrupt header's error names its bad keys in a fixed order
+    sched, header, params = _checkpoint_parts(tmp_path)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_checkpoint_bytes({**header, "step_count": 5}, params))
+    assert load_checkpoint(path, sched).step_count == 5
+    path.write_bytes(_checkpoint_bytes({k: v for k, v in header.items() if k != "step_count"}, params))
+    assert load_checkpoint(path, sched).step_count == 0
+    path.write_bytes(_checkpoint_bytes({**header, "step_count": -1, "dim": 0, "schedule_fingerprint": 1}, params))
+    with pytest.raises(CheckpointError, match="missing or invalid schedule_fingerprint, dim, step_count$"):
+        load_checkpoint(path, sched)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -573,6 +587,20 @@ def test_reference_modes(tmp_path):
         check_reference_room(cfg.with_overrides({"eval.lof_k": str(n - 1)}), cfg.run_chains)
         with pytest.raises(ConfigError, match="eval.lof_k"):
             check_reference_room(cfg.with_overrides({"eval.lof_k": str(n)}), cfg.run_chains)
+
+
+@pytest.mark.parametrize("mode", ["real", "generated", "pooled"])
+def test_reference_modes_match_the_oracle(mode, brute_avg_knn, brute_lof):
+    # sample i is row i of a reference set that holds the samples, and is
+    # left out of its own neighbours there
+    cfg = small_config(**{"eval.reference": mode})
+    samples = np.random.default_rng(5).normal(size=(12, 2))
+    _, knn, lof = harness.evaluate(cfg, samples)
+    refset = reference_set(cfg, samples)[0]
+    for i, x in enumerate(samples):
+        skip = None if mode == "real" else i
+        assert knn[i] == pytest.approx(brute_avg_knn(x, refset, cfg.eval_knn_k, skip), rel=1e-12)
+        assert lof[i] == pytest.approx(brute_lof(x, refset, cfg.eval_lof_k, skip), rel=1e-12)
 
 
 @pytest.mark.parametrize("mc", [1, 3])

@@ -266,11 +266,12 @@ def test_guided_sampler_is_deterministic(ring_model20):
 
 
 def test_extra_chains_leave_existing_chains_untouched(ring_model20):
-    # per-chain streams depend only on (seed, chain index)
+    # per-chain streams depend only on (seed, chain index), down to one chain
     cfg = GuidanceConfig(w=0.5, schedule_mode="fixed", n=4, s_fraction=0.6)
-    small, _ = guided_sample(ring_model20, cfg, chains=3, seed=3)
     big, _ = guided_sample(ring_model20, cfg, chains=5, seed=3)
-    np.testing.assert_array_equal(small, big[:3])
+    for chains in (1, 3):
+        small, _ = guided_sample(ring_model20, cfg, chains=chains, seed=3)
+        np.testing.assert_array_equal(small, big[:chains])
 
 
 def test_naive_guidance_is_normalized_descent(ring_model20):
