@@ -14,12 +14,7 @@ import numpy as np
 
 from .checkpoint import atomic_write, save_checkpoint
 from .config import _KEYMAP, INT_BOUND, ExperimentConfig
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    NumericDegeneracyError,
-    TrainingDivergenceError,
-)
+from .errors import CheckpointError, ConfigError, NumericDegeneracyError, TrainingDivergenceError
 from .evaluation import verify_prop1
 from .harness import RECIPES, evaluate, evaluation_summary, read_samples, run_experiment
 from .harness import score_model, to_json
@@ -104,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="samples.csv from a previous run")
     p.add_argument("--out", help="where to write the metrics JSON (default stdout)")
 
-    p = sub.add_parser("verify", help="numeric check of the metric/ELBO identity")
+    p = sub.add_parser("verify", help="numeric check of the metric/ELBO identity", description=(
+        "Numeric check of the metric/ELBO identity. It holds to rounding for any model whose eps and "
+        "linearize agree, so it checks the Tweedie arithmetic, not the quality of the model."))
     _add_common(p)
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--mode", choices=["prop1", "corollary1"], default="prop1")

@@ -147,8 +147,10 @@ def lof_batch(queries, refset, k: int, self_offset: int | None = None) -> np.nda
 def verify_prop1(x0: np.ndarray, model: ScoreModel, rng: np.random.Generator, m: int = 1) -> dict:
     """Check sum_t abar/(1-abar) * ||x0 - x0_hat||^2 == sum_t ||eps - eps_theta||^2.
 
-    Both sides share the same noise draws per (t, draw), so the equality is
-    pointwise, not just in expectation. Returns the sums over the full
+    Both sides share the same noise draws per (t, draw) and are the same
+    algebra of one eps evaluation, so they agree pointwise to rounding for
+    any model whose eps and linearize agree: this checks the Tweedie
+    arithmetic, not the quality of the model. Returns the sums over the full
     timestep grid of the per-t means of both sides (total_lhs, total_rhs)
     and their difference (total_gap), the largest relative gap of any one
     draw (max_pointwise_rel_gap) and m (mc_samples). Overflow is not

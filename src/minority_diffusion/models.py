@@ -110,14 +110,14 @@ def sinusoidal_embedding(t, emb_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # train_dsm's Adam, at Kingma & Ba's defaults
+
+
 @dataclass
 class TrainOptions:
     steps: int = 3000
     batch_size: int = 128
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         # each message names the train flag that sets the option
@@ -158,8 +158,8 @@ class MlpEpsModel(ScoreModel):
         # free float64 buffers for hidden-layer arrays, keyed by shape; glibc
         # gives freed arrays of this size back to the OS, so fresh ones would
         # page-fault in again on every call of a cold process. _forward's
-        # caller owns the activations it returns; linearize gives them back
-        # when its pullback is released.
+        # caller owns the activations it returns and gives them back: linearize
+        # when its pullback is released, train_dsm after each backward pass.
         self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     def _take(self, shape) -> np.ndarray:
@@ -286,15 +286,15 @@ def train_dsm(
                 raise TrainingDivergenceError(step)
             history.append(loss)
             model._backward(acts, 2.0 * resid / opts.batch_size, grad)
+            model._give(*acts[1:-1])
             model.step_count += 1
-            k = step + 1  # bias correction tracks this call's Adam state
-            m *= opts.beta1
-            m += (1.0 - opts.beta1) * grad
-            v *= opts.beta2
-            v += (1.0 - opts.beta2) * grad * grad
-            mhat = m / (1.0 - opts.beta1**k)
-            vhat = v / (1.0 - opts.beta2**k)
-            model.params -= opts.lr * mhat / (np.sqrt(vhat) + opts.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            mhat = m / (1.0 - ADAM_BETA1 ** (step + 1))  # bias correction tracks this call's Adam state
+            vhat = v / (1.0 - ADAM_BETA2 ** (step + 1))
+            model.params -= opts.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     if not np.isfinite(model.params).all():  # the loss check never sees the last update
         raise TrainingDivergenceError(step, f"non-finite parameters after training step {step}")
     return history

@@ -6,9 +6,10 @@ evaluated at the pre-transition latent. Stop-gradient modes control which
 branch of the metric is differentiated; the raw gradient is optionally
 normalized to unit l-infinity norm before the schedule weight is applied.
 
-Per-chain randomness comes from two independent streams derived from
-(seed, chain index), so results do not depend on execution order and the
-w = 0 sampler is bit-identical to plain ancestral sampling.
+Per-chain randomness comes from two streams keyed by (seed, chain index),
+and the w = 0 sampler is bit-identical to plain ancestral sampling. With
+the analytic model a chain's samples do not depend on the chain count; the
+MLP's last bits do, as BLAS picks its matmul kernel by row count.
 """
 
 from __future__ import annotations
@@ -178,20 +179,20 @@ def _tape(seed: int, k: int, chains: int, rows: int, shape: tuple):
 
     Chain c's tape is stream(seed, c, k).standard_normal((rows,) + shape);
     a row is the array of shape shape[:-1] + (chains, shape[-1]) that holds
-    that row of every chain. The generator fills in C order, so the rows
-    match one draw of the whole tape. A row stays valid only until the next
-    window is drawn. The buffer is allocated before any stream is built, so
-    a tape too large for memory fails at its first allocation.
+    that row of every chain, a view into the chain-major buffer that each
+    generator fills in place. A row stays valid only until the next window
+    is drawn. The buffer is allocated before any stream is built, so a tape
+    too large for memory fails at its first allocation.
     """
     row_bytes = 8 * chains * int(np.prod(shape))
     width = min(rows, max(WINDOW_MIN_ROWS, WINDOW_BYTES // row_bytes))
-    buf = np.empty((width, *shape[:-1], chains, shape[-1]))
+    buf = np.empty((chains, width, *shape))
     rngs = [stream(seed, c, k) for c in range(chains)]
     for start in range(0, rows, width):
         n = min(width, rows - start)
         for c, rng in enumerate(rngs):
-            buf[:n, ..., c, :] = rng.standard_normal((n, *shape))
-        yield from buf[:n]
+            rng.standard_normal(out=buf[c, :n])
+        yield from np.moveaxis(buf[:, :n], 0, -2)
 
 
 def guided_sample(
@@ -207,7 +208,7 @@ def guided_sample(
     tape of T rows of model.dim values from its stream (c, 0) and, under
     self guidance, a guidance-noise tape of one (mc_samples, model.dim) row
     per guidance_plan step, in sampling order, from its stream (c, 1), so
-    the batched loop matches chain-by-chain execution exactly. The tapes
+    each chain's noise is what chain-by-chain execution draws. The tapes
     are read in order a window of steps at a time (see _tape), and the
     outputs are those of drawing them whole. Tape memory is at most two
     windows, one per tape, of WINDOW_BYTES or WINDOW_MIN_ROWS rows each,

@@ -313,6 +313,16 @@ def test_prop1_identity_pointwise(ring_model20):
     assert rep["total_gap"] == pytest.approx(0.0, abs=1e-8 * abs(rep["total_lhs"]))
 
 
+def test_prop1_holds_for_an_untrained_model(sched20):
+    # both sides are one eps evaluation per draw, so random weights meet the
+    # identity to rounding too: it checks the Tweedie arithmetic, not the model
+    model = MlpEpsModel(sched20, dim=2, seed=3)
+    x0 = np.random.default_rng(4).normal(size=(50, 2))
+    rep = verify_prop1(x0, model, np.random.default_rng(5), m=2)
+    assert rep["max_pointwise_rel_gap"] <= 1e-10
+    assert rep["total_gap"] == pytest.approx(0.0, abs=1e-8 * abs(rep["total_lhs"]))
+
+
 def test_prop1_nan_gap_is_not_dropped(sched20):
     # parameters of 1e200 overflow both sides to inf, so every gap is NaN;
     # the largest gap must say so, not read 0.0

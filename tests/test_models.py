@@ -18,6 +18,7 @@ import minority_diffusion
 from minority_diffusion import gmm
 from minority_diffusion.errors import ConfigError, TrainingDivergenceError
 from minority_diffusion.models import (
+    ADAM_EPS,
     CallCountingModel,
     GmmScoreModel,
     MlpEpsModel,
@@ -129,12 +130,13 @@ def test_train_dsm_learns_unit_gaussian():
 
 
 def test_train_dsm_parameter_gradients_match_finite_differences(sched20):
-    # with beta1 = beta2 = 0 one Adam step moves each parameter by
-    # lr * g / (|g| + adam_eps), which inverts exactly to the gradient g that
-    # train_dsm applied; it must match central differences of the batch loss
-    # for every weight and bias. Each batch row draws its own t.
+    # Adam's first bias-corrected step moves each parameter by
+    # u = lr * g / (|g| + ADAM_EPS), which at lr = 1 inverts to the gradient
+    # g = ADAM_EPS * u / (1 - |u|) that train_dsm applied; it must match
+    # central differences of the batch loss for every weight and bias. Each
+    # batch row draws its own t.
     data = np.random.default_rng(0).normal(size=(32, 2))
-    opts = TrainOptions(steps=1, batch_size=6, lr=1.0, beta1=0.0, beta2=0.0, adam_eps=1.0)
+    opts = TrainOptions(steps=1, batch_size=6, lr=1.0)
     h = 1e-6
     for seed in range(3):
         model = MlpEpsModel(sched20, dim=2, hidden=(5, 4), emb_dim=4, seed=seed)
@@ -161,7 +163,7 @@ def test_train_dsm_parameter_gradients_match_finite_differences(sched20):
         before = params.copy()
         train_dsm(model, data, sched20, opts, np.random.default_rng(seed))
         step = before - model.params
-        np.testing.assert_allclose(step / (1.0 - np.abs(step)), want, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(ADAM_EPS * step / (1.0 - np.abs(step)), want, rtol=1e-5, atol=1e-8)
 
 
 def test_train_dsm_reports_divergence_step(sched20):
@@ -280,6 +282,22 @@ def test_mlp_buffer_pool_does_not_grow_with_steps(mc, held):
         guided_sample(model, GuidanceConfig(w=1.0, n=1, mc_samples=mc), chains=12, seed=0)
         pools.append({shape: len(free) for shape, free in model._pool.items()})
     assert pools[0] == pools[1] == {(12, 16): held}
+
+
+def test_train_dsm_reuses_its_buffers(sched20):
+    # a training step gives its hidden activations back after the backward
+    # pass, so later steps and later calls take every hidden-layer array
+    # from the pool: the arrays it holds after one step are the ones it
+    # holds after five more (kept alive here, so no new array can take an
+    # old one's identity)
+    model = MlpEpsModel(sched20, dim=2, hidden=(16, 16), emb_dim=8, seed=5)
+    data = np.random.default_rng(0).normal(size=(32, 2))
+    train_dsm(model, data, sched20, TrainOptions(steps=1, batch_size=12), np.random.default_rng(1))
+    first = list(model._pool[(12, 16)])
+    train_dsm(model, data, sched20, TrainOptions(steps=5, batch_size=12), np.random.default_rng(2))
+    after = model._pool[(12, 16)]
+    assert len(first) == len(after) == 4
+    assert all(any(a is b for b in first) for a in after)
 
 
 _FAULT_PROBE = """
