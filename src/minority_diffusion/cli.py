@@ -32,8 +32,8 @@ EXIT_TRAINING = 5
 def _load_config(args, base: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
     """`base`, or the --config file when given, with --set/--seed/--chains applied."""
     for flag in ("steps", "batch_size", "train_size", "mc"):
-        if (value := getattr(args, flag, 0)) > INT_BOUND:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be <= {INT_BOUND}, got {value}")
+        if not 1 <= (value := getattr(args, flag, 1)) <= INT_BOUND:
+            raise ConfigError(f"--{flag.replace('_', '-')} must lie in 1..{INT_BOUND}, got {value}")
     cfg = base
     if args.config:
         try:
@@ -120,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     opts = TrainOptions(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
-    if args.train_size < 1:
-        raise ConfigError(f"--train-size must be >= 1, got {args.train_size}")
     spec = cfg.gmm_spec()
     rng = stream(cfg.run_seed, 11, 2)
     data = spec.sample(args.train_size, rng)
@@ -149,8 +147,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    if args.mc < 1:
-        raise ConfigError(f"--mc must be >= 1, got {args.mc}")
     model = score_model(cfg)
     rng = stream(cfg.run_seed, 13, 2)
     x0 = cfg.gmm_spec().sample(1, rng)[0]

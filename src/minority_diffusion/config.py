@@ -27,7 +27,7 @@ run.seed, and every integer flag of the cli, is at most 2**31 - 1. Keys:
                             least one guided step must have a nonzero weight
   guidance.s_fraction       float in (0, 1)
   guidance.sg               none | sg_first | sg_second
-  guidance.normalize        true | false
+  guidance.normalize        true | false; each guided step is l-inf normalized
   guidance.mc_samples       positive integer
   run.chains                positive integer
   run.seed                  non-negative integer

@@ -7,9 +7,10 @@ Output files per run (all written atomically):
                     log-density, uniqueness metric at the designated timestep,
                     AvgkNN, LOF
   metrics.csv       the guidance trace: one row per guided step (descending
-                    t), with the mean and chain quantiles of the guidance
-                    norms and the metric; only the header when
-                    run.trace = false
+                    t), with the mean and chain quantiles of the norms of
+                    the guidance vector before the step applies
+                    guidance.normalize, and of the metric; only the header
+                    when run.trace = false
   summary.json      aggregate statistics plus config fingerprint and seed
   resolved-config   the fully resolved flat config; re-running from it
                     reproduces every numeric column byte-for-byte
@@ -236,7 +237,12 @@ def evaluate(cfg: ExperimentConfig, samples: np.ndarray):
 
 
 def write_report(report: RunReport, out_dir: str) -> None:
-    summary = to_json(report.summary())  # a non-finite summary writes nothing
+    summary = to_json(report.summary())  # a non-finite summary or trace cell writes nothing
+    naive = report.config.guidance_kind == "naive"  # its trace metric is NaN by design
+    for row in report.trace_rows:
+        cells = zip(TRACE_HEADER.split(","), row)
+        if bad := [k for k, v in cells if not (math.isfinite(v) or naive and k.startswith("metric"))]:
+            raise NumericDegeneracyError(f"non-finite {', '.join(bad)} at t = {row[0]} in the guidance trace")
     try:
         os.makedirs(out_dir, exist_ok=True)
         chains, dim = report.samples.shape

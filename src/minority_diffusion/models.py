@@ -157,9 +157,8 @@ class MlpEpsModel(ScoreModel):
             w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / sum(w.shape))
         # free float64 buffers for hidden-layer arrays, keyed by shape; glibc
         # gives freed arrays of this size back to the OS, so fresh ones would
-        # page-fault in again on every call of a cold process. _forward's
-        # caller owns the activations it returns and gives them back: linearize
-        # when its pullback is released, train_dsm after each backward pass.
+        # page-fault in again on every call of a cold process. The finalizer
+        # of linearize's pullback gives _forward's activations back.
         self._pool: dict[tuple[int, ...], list[np.ndarray]] = {}
 
     def _take(self, shape) -> np.ndarray:
@@ -234,15 +233,16 @@ class MlpEpsModel(ScoreModel):
     def linearize(self, x, t):
         """eps and its input pullback, which reuses the forward activations.
         The pullback stays valid for as long as it is held; its hidden
-        activations go back to the buffer pool when it is released."""
+        activations go back to the buffer pool when it is released.
+        vjp(cotangent, grad) also writes the params gradient into grad."""
         x = np.asarray(x, float)
         t = np.asarray(t)
         shape = x.shape
         out, acts = self._forward(x.reshape(-1, shape[-1]), t.reshape(-1) if t.ndim else t)
 
-        def vjp(cotangent):
+        def vjp(cotangent, grad=None):
             g = np.asarray(cotangent, float).reshape(-1, shape[-1])
-            return self._backward(acts, g)[:, : self.dim].reshape(shape)
+            return self._backward(acts, g, grad)[:, : self.dim].reshape(shape)
 
         weakref.finalize(vjp, self._give, *acts[1:-1])
         return out.reshape(shape), vjp
@@ -279,14 +279,14 @@ def train_dsm(
             t = rng.integers(1, sched.T + 1, size=opts.batch_size)
             noise = rng.standard_normal(x0.shape)
             xt = perturb(x0, t, noise, sched)
-            pred, acts = model._forward(xt, t)
+            pred, vjp = model.linearize(xt, t)
             resid = pred - noise
             loss = float(np.sum(resid * resid) / opts.batch_size)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(step)
             history.append(loss)
-            model._backward(acts, 2.0 * resid / opts.batch_size, grad)
-            model._give(*acts[1:-1])
+            vjp(2.0 * resid / opts.batch_size, grad)
+            del vjp  # its finalizer gives the activations back to the pool
             model.step_count += 1
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * grad

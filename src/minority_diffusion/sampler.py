@@ -3,8 +3,8 @@
 The guided sampler follows the reverse chain and, once every n steps, nudges
 the proposed state with the gradient of the inference-time uniqueness metric
 evaluated at the pre-transition latent. Stop-gradient modes control which
-branch of the metric is differentiated; the raw gradient is optionally
-normalized to unit l-infinity norm before the schedule weight is applied.
+branch of the metric is differentiated; under guidance.normalize the step
+divides the raw gradient by its l-infinity norm and applies the weight.
 
 Per-chain randomness comes from two streams keyed by (seed, chain index),
 and the w = 0 sampler is bit-identical to plain ancestral sampling. With
@@ -91,16 +91,10 @@ def weight(t: int, cfg: GuidanceConfig, sched: NoiseSchedule) -> float:
     return cfg.w * float(sched.beta(t))
 
 
-def _normalize_linf(g: np.ndarray) -> np.ndarray:
-    norms = np.max(np.abs(g), axis=-1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return g / safe
-
-
 def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, eps: np.ndarray | None = None):
-    """(g, metric): the guided step's direction at (x_t, t) and, per row,
-    the inference metric, for either cfg.kind; cfg.normalize_linf scales
-    g to unit l-infinity norm for both.
+    """(g, metric): the guided step's raw direction at (x_t, t) and, per
+    row, the inference metric, for either cfg.kind. g is never normalized
+    here: guided_sample applies cfg.normalize_linf where it takes the step.
 
     Under "naive", g = -score(x_t, t), descent on the perturbed log
     density, and the metric is NaN; cfg.sg_mode, cfg.s_fraction,
@@ -117,16 +111,12 @@ def guidance(x_t: np.ndarray, t: int, cfg: GuidanceConfig, model: ScoreModel, ep
     round trip from x0_hat at s supplies the metric and its cotangent.
     """
     if cfg.kind == "naive":
-        g, metric = -model.score(x_t, t), np.full(x_t.shape[:-1], np.nan)
-    else:
-        if np.shape(eps)[:1] != (cfg.mc_samples,):
-            raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
-        x0_hat, pull_t = linearize_tweedie(x_t, t, model)
-        draws, cot = round_trip(x0_hat, model.sched.step_at(cfg.s_fraction), model, eps, cfg.sg_mode)
-        g, metric = pull_t(cot), draws.mean(axis=0)
-    if cfg.normalize_linf:
-        g = _normalize_linf(g)
-    return g, metric
+        return -model.score(x_t, t), np.full(x_t.shape[:-1], np.nan)
+    if np.shape(eps)[:1] != (cfg.mc_samples,):
+        raise ValueError(f"fixed noise shape mismatch: {np.shape(eps)} for mc_samples = {cfg.mc_samples}")
+    x0_hat, pull_t = linearize_tweedie(x_t, t, model)
+    draws, cot = round_trip(x0_hat, model.sched.step_at(cfg.s_fraction), model, eps, cfg.sg_mode)
+    return pull_t(cot), draws.mean(axis=0)
 
 
 def reverse_step(x: np.ndarray, t: int, model: ScoreModel, z) -> np.ndarray:
@@ -216,14 +206,16 @@ def guided_sample(
 
     Guidance is evaluated at the pre-transition latent at the steps of
     guidance_plan, with their weights; with w = 0 the plan is empty and the
-    guidance machinery is never touched. A chain state whose squared norm
-    is not finite raises NumericDegeneracyError naming the timestep.
+    guidance machinery is never touched. Each guided step adds w_t g, with
+    g divided by its L-infinity norm under cfg.normalize_linf (a zero g
+    stays zero). A chain state whose squared norm is not finite raises
+    NumericDegeneracyError naming the timestep.
 
     The trace is a list with one row per guided step, in sampling order,
     empty unless `trace` is set: (t, w_t), then the mean and the
-    TRACE_QUANTILES over the chains of the guidance vector's L2 norm, of
-    its L-infinity norm and of the inference metric (NaN under naive
-    guidance), all Python floats.
+    TRACE_QUANTILES over the chains of the raw g's L2 norm, of its
+    L-infinity norm (the normalizer) and of the inference metric (NaN
+    under naive guidance), all Python floats.
     """
     if chains < 1:
         raise ConfigError("need at least one chain")
@@ -240,12 +232,13 @@ def guided_sample(
         # an overflow in the step is not warned about: the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if w_t is not None:
-                g_vec, metric = guidance(x, t, cfg, model, next(eps_rows) if cfg.kind == "self" else None)
+                g, metric = guidance(x, t, cfg, model, next(eps_rows) if cfg.kind == "self" else None)
+                linf = np.max(np.abs(g), axis=-1, keepdims=True)
             x = reverse_step(x, t, model, next(noise) if t > 1 else None)
             if w_t is not None:
-                x = x + w_t * g_vec
+                x = x + w_t * (g / np.where(linf > 0.0, linf, 1.0) if cfg.normalize_linf else g)
                 if trace:
-                    cols = np.stack([np.linalg.norm(g_vec, axis=-1), np.max(np.abs(g_vec), axis=-1), metric])
+                    cols = np.stack([np.linalg.norm(g, axis=-1), linf[:, 0], metric])
                     stats = np.column_stack([cols.mean(axis=1), np.quantile(cols, TRACE_QUANTILES, axis=1).T])
                     recorded.append((t, float(w_t), *stats.ravel().tolist()))
             sq_norm = np.sum(x * x, axis=-1)

@@ -77,7 +77,8 @@ def build_schedule(
     """Construct a linear or cosine noise schedule with T steps.
 
     For the linear kind, omitted beta range defaults to the DDPM range scaled
-    by 1000/T so that alpha_bar(T) stays near zero for short schedules. The
+    by 1000/T so that alpha_bar(T) stays near zero for short schedules; a
+    default beta_end needs T >= 21 to stay below 1. The
     cosine offset must be finite and >= 0. Either kind raises ConfigError
     unless every beta lies in (0, 1) and alpha_bar strictly decreases.
     """
@@ -88,6 +89,9 @@ def build_schedule(
             beta_start = _LINEAR_BETA_START * _LINEAR_REFERENCE_T / T
         if beta_end is None:
             beta_end = _LINEAR_BETA_END * _LINEAR_REFERENCE_T / T
+            if 0.0 < beta_start < 1.0 <= beta_end:  # the user set T, not beta_end
+                raise ConfigError(f"schedule.timesteps = {T} puts the default linear beta_end at {beta_end}; the "
+                                  f"default range needs T >= {int(_LINEAR_BETA_END * _LINEAR_REFERENCE_T) + 1}")
         if not (0.0 < beta_start <= beta_end < 1.0):
             raise ConfigError(
                 "schedule.beta_start and schedule.beta_end must satisfy 0 < start <= end < 1, "

@@ -459,11 +459,16 @@ def test_run_experiment_writes_artifacts(tmp_path):
     # the resolved config reproduces the run
     again = ExperimentConfig.from_text((tmp_path / "resolved-config").read_text())
     assert again == cfg
-    # a summary that is not finite raises before any file is written
-    report.metric[0] = np.inf
-    with pytest.raises(NumericDegeneracyError, match="metric_mean"):
-        harness.write_report(report, str(tmp_path / "again"))
-    assert not (tmp_path / "again").exists()
+    # a summary value or trace cell that is not finite raises before any file
+    # is written (naive guidance's NaN trace metric is written: see
+    # test_trace_rows_are_chain_aggregates)
+    row = list(report.trace_rows[1])
+    row[TRACE_COLUMNS.split(",").index("l2_q100")] = np.inf
+    for bad, key in ((dataclasses.replace(report, metric=np.full_like(report.metric, np.inf)), "metric_mean"),
+                     (dataclasses.replace(report, trace_rows=[report.trace_rows[0], row]), f"l2_q100 at t = {row[0]}")):
+        with pytest.raises(NumericDegeneracyError, match=key):
+            harness.write_report(bad, str(tmp_path / "again"))
+        assert not (tmp_path / "again").exists()
 
 
 TRACE_COLUMNS = (
@@ -948,6 +953,8 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("sample", ["eval.reference=real", "eval.reference_size=10000000000000"], "eval.reference_size"),
         ("sample", ["schedule.timesteps=99999999999999999999"], "schedule.timesteps"),
         ("train", ["run.chains=2147483648"], "run.chains"),
+        # the default linear range needs T >= 21: the error names the key the user set
+        ("sample", ["schedule.kind=linear", "schedule.timesteps=20"], "schedule.timesteps"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(
