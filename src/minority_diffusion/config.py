@@ -3,8 +3,11 @@
 The config file is plain text, one `key = value` per line, `#` comments;
 a key set on two lines is an error. Every run writes back its fully resolved
 config, and re-running from that file reproduces the run exactly. The
-guidance.* defaults are sampler.GuidanceConfig's. Every integer key but
-run.seed, and every integer flag of the cli, is at most 2**31 - 1. Keys:
+guidance.* defaults are sampler.GuidanceConfig's. Every command checks the
+whole config as a sampling config, guidance plan included, so train and
+verify at a schedule.timesteps below guidance.interval need guidance.w = 0.
+Every integer key but run.seed, and every integer flag of the cli, is at
+most 2**31 - 1. Keys:
 
   benchmark                 gmm8-ring | gmm2-imbalanced | inline
   gmm.weights               comma-separated (inline benchmark only)

@@ -35,11 +35,8 @@ from .schedule import NoiseSchedule, perturb
 
 
 def eps_to_score(eps: np.ndarray, alpha_bar) -> np.ndarray:
-    """score = -eps / sqrt(1 - alpha_bar), alpha_bar a scalar or one per row."""
-    c = np.sqrt(1.0 - np.asarray(alpha_bar))
-    if np.ndim(c):
-        c = c[..., None]
-    return -eps / c
+    """score = -eps / sqrt(1 - alpha_bar), alpha_bar the scalar at one timestep."""
+    return -eps / np.sqrt(1.0 - alpha_bar)
 
 
 class ScoreModel:
@@ -62,6 +59,7 @@ class ScoreModel:
         return self.linearize(x, t)[1](cotangent)
 
     def score(self, x: np.ndarray, t) -> np.ndarray:
+        """The score at one timestep t for every row of x."""
         return eps_to_score(self.eps(x, t), self.sched.alpha_bar(t))
 
 

@@ -14,11 +14,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Reference step count for the DDPM linear range (1e-4, 0.02); shorter
-# schedules scale the range up so alpha_bar(T) still reaches ~0.
+# The DDPM linear bounds, defined for 1000 steps; shorter schedules scale
+# them up so alpha_bar(T) still reaches ~0.
 _LINEAR_REFERENCE_T = 1000
-_LINEAR_BETA_START = 1e-4
-_LINEAR_BETA_END = 0.02
+_LINEAR_DDPM = {"beta_start": 1e-4, "beta_end": 0.02}
 COSINE_OFFSET = 0.008  # the cosine schedule's s: build_schedule's and the config's default
 
 
@@ -76,50 +75,42 @@ def build_schedule(
 ) -> NoiseSchedule:
     """Construct a linear or cosine noise schedule with T steps.
 
-    For the linear kind, omitted beta range defaults to the DDPM range scaled
-    by 1000/T so that alpha_bar(T) stays near zero for short schedules; a
-    default beta_end needs T >= 21 to stay below 1. The
-    cosine offset must be finite and >= 0. Either kind raises ConfigError
-    unless every beta lies in (0, 1) and alpha_bar strictly decreases.
+    For the linear kind, an omitted bound defaults to its DDPM value scaled
+    by 1000/T so that alpha_bar(T) stays near zero for short schedules (a
+    default beta_end reaches 1 at T <= 20). The cosine offset must be finite
+    and >= 0. Either kind raises ConfigError unless 0 < beta_start <=
+    beta_end < 1, every beta lies in (0, 1) and alpha_bar strictly
+    decreases; a linear error names each bound's key and value and marks an
+    omitted one as the schedule.timesteps default.
     """
     if T < 1:
         raise ConfigError(f"schedule.timesteps must be >= 1, got {T}")
     if kind == "linear":
-        if beta_start is None:
-            beta_start = _LINEAR_BETA_START * _LINEAR_REFERENCE_T / T
-        if beta_end is None:
-            beta_end = _LINEAR_BETA_END * _LINEAR_REFERENCE_T / T
-            if 0.0 < beta_start < 1.0 <= beta_end:  # the user set T, not beta_end
-                raise ConfigError(f"schedule.timesteps = {T} puts the default linear beta_end at {beta_end}; the "
-                                  f"default range needs T >= {int(_LINEAR_BETA_END * _LINEAR_REFERENCE_T) + 1}")
+        bounds, described = [], []
+        for (key, ddpm), value in zip(_LINEAR_DDPM.items(), (beta_start, beta_end)):
+            note = ""
+            if value is None:
+                value, note = ddpm * _LINEAR_REFERENCE_T / T, f" (the default at schedule.timesteps = {T})"
+            bounds.append(value)
+            described.append(f"schedule.{key} = {value}{note}")
+        beta_start, beta_end = bounds
+        given = ", ".join(described)
         if not (0.0 < beta_start <= beta_end < 1.0):
-            raise ConfigError(
-                "schedule.beta_start and schedule.beta_end must satisfy 0 < start <= end < 1, "
-                f"got {beta_start}, {beta_end}"
-            )
+            raise ConfigError(f"schedule.kind = linear needs 0 < beta_start <= beta_end < 1, got {given}")
         betas = np.linspace(beta_start, beta_end, T)
     elif kind == "cosine":
         if not 0.0 <= cosine_offset < np.inf:  # False for nan too
             raise ConfigError(f"schedule.cosine_offset must be finite and >= 0, got {cosine_offset}")
-        s0 = cosine_offset
-
-        def f(u):
-            return np.cos(((u / T + s0) / (1.0 + s0)) * np.pi / 2.0) ** 2
-
-        grid = np.arange(T + 1)
-        abar = f(grid) / f(0)
+        given = f"schedule.cosine_offset = {cosine_offset}"
+        f = np.cos(((np.arange(T + 1) / T + cosine_offset) / (1.0 + cosine_offset)) * np.pi / 2.0) ** 2
+        abar = f / f[0]
         betas = np.clip(1.0 - abar[1:] / abar[:-1], 0.0, 0.999)
     else:
         raise ConfigError(f"schedule.kind must be linear or cosine, got {kind!r}")
     alpha_cum = np.cumprod(1.0 - betas)
     if not (np.all((betas > 0.0) & (betas < 1.0)) and np.all(np.diff(alpha_cum, prepend=1.0) < 0.0)):
-        given = (
-            f"schedule.cosine_offset = {cosine_offset}"
-            if kind == "cosine"
-            else f"schedule.beta_start, schedule.beta_end = {beta_start}, {beta_end}"
-        )
         raise ConfigError(
-            f"{given} gives a {T}-step {kind} schedule with betas outside (0, 1) "
+            f"the {T}-step {kind} schedule from {given} has betas outside (0, 1) "
             "or an alpha_bar that does not strictly decrease"
         )
     return NoiseSchedule(kind=kind, T=T, betas=betas, alpha_cum=alpha_cum)

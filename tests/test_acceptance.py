@@ -200,7 +200,7 @@ def test_criterion_05_stop_gradient_ablation(capsys):
 
 def test_criterion_06_stop_gradient_decomposition(capsys):
     # guidance(none) = guidance(sg_first) + guidance(sg_second), shared noise,
-    # normalization off, analytic and MLP models
+    # analytic and MLP models
     rng = np.random.default_rng(6)
     worst = 0.0
     for model in (RING_COS, MLP):
@@ -210,9 +210,7 @@ def test_criterion_06_stop_gradient_decomposition(capsys):
             eps = rng.standard_normal((1, 2))
             parts = {}
             for sg in ("none", "sg_first", "sg_second"):
-                cfg = GuidanceConfig(
-                    w=1.0, sg_mode=sg, s_fraction=0.8, normalize_linf=False
-                )
+                cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.8)
                 parts[sg] = guidance(x, t, cfg, model, eps=eps)[0]
             gap = np.max(np.abs(parts["none"] - parts["sg_first"] - parts["sg_second"]))
             worst = max(worst, float(gap))
@@ -228,7 +226,7 @@ def test_criterion_07_guidance_matches_finite_differences(capsys, sg_objective):
             x = rng.normal(scale=3.0, size=2)
             t = int(rng.integers(2, T + 1))
             sg = ("none", "sg_first", "sg_second")[int(rng.integers(3))]
-            cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.8, normalize_linf=False)
+            cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.8)
             eps = rng.standard_normal((1, 2))
             g = guidance(x, t, cfg, model, eps=eps)[0]
             fd = np.empty(2)

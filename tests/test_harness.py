@@ -855,6 +855,14 @@ def test_cli_train_round_trip(tmp_path, capsys):
     load_checkpoint(ckpt, sched)
 
 
+def test_cli_train_below_the_guidance_interval_with_guidance_off(tmp_path):
+    # the config is checked as a sampling config, so a T below guidance.interval needs guidance.w=0
+    cfg_path = write_small_config(tmp_path)
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "m.ckpt"), "--steps", "2"]
+    assert main([*argv, "--set", "schedule.timesteps=4", "--set", "guidance.w=0"]) == 0
+    assert (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -955,6 +963,19 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("train", ["run.chains=2147483648"], "run.chains"),
         # the default linear range needs T >= 21: the error names the key the user set
         ("sample", ["schedule.kind=linear", "schedule.timesteps=20"], "schedule.timesteps"),
+        # a linear range error gives each bound the user set and marks each other one as the default
+        (
+            "sample",
+            ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start=0.5"],
+            "schedule.beta_start = 0.5, schedule.beta_end = 0.08 (the default at schedule.timesteps = 250)",
+        ),
+        (
+            "sample",
+            ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_end=0.00001"],
+            "schedule.beta_start = 0.0004 (the default at schedule.timesteps = 250), schedule.beta_end = 1e-05",
+        ),
+        # every command checks the guidance plan, train too: it runs at this T with guidance.w=0
+        ("train", ["schedule.timesteps=4"], "guidance.interval"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

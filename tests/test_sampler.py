@@ -36,7 +36,7 @@ from minority_diffusion.schedule import build_schedule, respace
 @pytest.mark.parametrize("model_name", ["analytic", "mlp"])
 def test_guidance_matches_finite_differences(sg, model_name, ring_model20, mlp20, sg_objective):
     model = ring_model20 if model_name == "analytic" else mlp20
-    cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, normalize_linf=False, mc_samples=2)
+    cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, mc_samples=2)
     rng = np.random.default_rng(7)
     h = 1e-6
     for t in (5, 14):
@@ -60,7 +60,7 @@ def test_guidance_decomposes_over_stop_gradients(ring_model20, mlp20):
         eps = rng.normal(size=(1, 4, 2))
         parts = {}
         for sg in ("none", "sg_first", "sg_second"):
-            cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6, normalize_linf=False)
+            cfg = GuidanceConfig(w=1.0, sg_mode=sg, s_fraction=0.6)
             parts[sg] = guidance(x, 10, cfg, model, eps=eps)[0]
         np.testing.assert_allclose(
             parts["none"], parts["sg_first"] + parts["sg_second"], atol=1e-9

@@ -146,6 +146,10 @@ def test_build_schedule_rejects_bad_inputs():
         build_schedule("linear", 10, beta_start=0.5, beta_end=0.1)
     with pytest.raises(ConfigError):
         build_schedule("linear", 10, beta_start=0.0, beta_end=0.1)
+    # in range but no alpha_bar decrease: the post-check names both given bounds and no default
+    with pytest.raises(ConfigError, match="schedule.beta_start = 1e-300, schedule.beta_end = 1e-300 has") as exc:
+        build_schedule("linear", 10, beta_start=1e-300, beta_end=1e-300)
+    assert "default" not in str(exc.value)
     for offset in (-1.0, -0.5, float("nan"), float("inf"), 1e300):
         with pytest.raises(ConfigError, match="cosine_offset"):
             build_schedule("cosine", 10, cosine_offset=offset)
