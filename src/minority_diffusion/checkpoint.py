@@ -48,7 +48,7 @@ def _is_int(v, low: int) -> bool:
 # header key: (its value for a model, whether loading accepts a value), in the order a
 # corrupt header's error names them; the version is checked first, alone, naming its value
 _HEADER = {
-    "version": (lambda m: FORMAT_VERSION, lambda v: v == FORMAT_VERSION),
+    "version": (lambda m: FORMAT_VERSION, lambda v: _is_int(v, 1) and v == FORMAT_VERSION),
     "schedule_fingerprint": (lambda m: m.sched.fingerprint(), lambda v: isinstance(v, str)),
     "dim": (lambda m: m.dim, lambda v: _is_int(v, 1)),
     "hidden": (lambda m: list(m.hidden), lambda v: isinstance(v, list) and all(_is_int(h, 1) for h in v)),
@@ -69,7 +69,7 @@ def _checked_header(header, path) -> dict:
     unless it holds every key load_checkpoint reads, with a usable type."""
     if not isinstance(header, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}: not a JSON object")
-    if header.get("version") != FORMAT_VERSION:
+    if not _HEADER["version"][1](header.get("version")):
         raise CheckpointError(f"checkpoint version {header.get('version')} unsupported (expected {FORMAT_VERSION})")
     header = {"step_count": 0, **header}
     bad = [key for key, (_, accepts) in _HEADER.items() if not accepts(header.get(key))]

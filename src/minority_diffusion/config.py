@@ -15,10 +15,7 @@ most 2**31 - 1. Keys:
   gmm.variances             comma-separated (inline only); every number in
                             the gmm.* keys must be finite
   schedule.kind             linear | cosine
-  schedule.timesteps        positive integer
-  schedule.beta_start       float (linear; empty = scaled DDPM default)
-  schedule.beta_end         float (linear; empty = scaled DDPM default)
-  schedule.cosine_offset    float, finite and >= 0
+  schedule.timesteps        positive integer; linear needs at least 21
   schedule.respace          0 (off) or target step count
   model.kind                analytic | mlp
   model.checkpoint          path (mlp only)
@@ -53,7 +50,7 @@ import numpy as np
 from .errors import ConfigError
 from .gmm import GmmSpec, benchmark
 from .sampler import GuidanceConfig, guidance_plan
-from .schedule import COSINE_OFFSET, NoiseSchedule, build_schedule, respace
+from .schedule import NoiseSchedule, build_schedule, respace
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,6 @@ class ExperimentConfig:
     gmm_variances: str = ""
     schedule_kind: str = "cosine"
     schedule_timesteps: int = 250
-    schedule_beta_start: float = 0.0  # 0 = scaled default
-    schedule_beta_end: float = 0.0
-    schedule_cosine_offset: float = COSINE_OFFSET
     schedule_respace: int = 0
     model_kind: str = "analytic"
     model_checkpoint: str = ""
@@ -108,13 +102,7 @@ class ExperimentConfig:
         return GmmSpec(weights=w, means=means, variances=var)
 
     def noise_schedule(self) -> NoiseSchedule:
-        sched = build_schedule(
-            self.schedule_kind,
-            self.schedule_timesteps,
-            beta_start=self.schedule_beta_start or None,
-            beta_end=self.schedule_beta_end or None,
-            cosine_offset=self.schedule_cosine_offset,
-        )
+        sched = build_schedule(self.schedule_kind, self.schedule_timesteps)
         if self.schedule_respace:
             sched = respace(sched, self.schedule_respace)
         return sched

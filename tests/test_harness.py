@@ -78,6 +78,20 @@ def test_config_rejects_unknown_key_and_bad_values(tmp_path, capsys):
     args = ["sample", "--config", str(cfg_path), "--set", "guidance.distance=squared_error"]
     assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "guidance.distance" in capsys.readouterr().err
+    # a schedule is its kind and length: a bound or offset key is unknown, even
+    # at an explicit 0, and a resolved-config that records them names the first
+    for key, value in (("schedule.beta_start", "0"), ("schedule.beta_end", "0.02"),
+                       ("schedule.cosine_offset", "0.008")):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig().with_overrides({key: value})
+        args = ["sample", "--config", str(cfg_path), "--set", f"{key}={value}", "--out", str(tmp_path / "x")]
+        assert main(args) == EXIT_CONFIG
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+    removed = "schedule.beta_start = 0.0\nschedule.beta_end = 0.0\nschedule.cosine_offset = 0.008\n"
+    cfg_path.write_text(ExperimentConfig().to_text().replace("schedule.respace", removed + "schedule.respace"))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error: line 7: unknown config key 'schedule.beta_start'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_rejects_a_config_file_key_set_twice(tmp_path, capsys):
@@ -121,13 +135,8 @@ def valid_configs(draw):
     kw["gmm_means"] = ";".join(",".join(map(repr, row)) for row in means)
     kw["gmm_variances"] = ",".join(map(repr, variances))
     kw["schedule_kind"] = draw(st.sampled_from(["linear", "cosine"]))
-    T = kw["schedule_timesteps"] = draw(st.integers(1, 60))
-    # 0 is the scaled DDPM range, whose betas stay below 1 only for T > 20
-    explicit = st.floats(1e-4, 0.05)
-    start = draw(explicit if kw["schedule_kind"] == "linear" and T <= 20 else st.one_of(st.just(0.0), explicit))
-    kw["schedule_beta_start"] = start
-    kw["schedule_beta_end"] = draw(st.just(0.0) if start == 0.0 else st.floats(start, 0.5))
-    kw["schedule_cosine_offset"] = draw(st.floats(0.0, 0.1))
+    # the scaled DDPM range's betas stay below 1 only for T > 20
+    T = kw["schedule_timesteps"] = draw(st.integers(21 if kw["schedule_kind"] == "linear" else 1, 60))
     kw["schedule_respace"] = draw(st.sampled_from([0] + [d for d in range(1, T + 1) if T % d == 0]))
     T = kw["schedule_respace"] or T
     kw["model_kind"] = draw(st.sampled_from(["analytic", "mlp"]))
@@ -370,6 +379,9 @@ def _checkpoint_bytes(header, params: bytes) -> bytes:
         lambda h: {**h, "train_seed": -1},
         lambda h: {**h, "schedule_fingerprint": 7},
         lambda h: {**h, "dim": 10**12},
+        # the version is an integer, like every other integer field
+        lambda h: {**h, "version": True},
+        lambda h: {**h, "version": 1.0},
     ],
 )
 def test_checkpoint_header_errors_are_typed(tmp_path, capsys, mutate):
@@ -912,9 +924,15 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("eval", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
         ("sample", ["guidance.w=nan"], "guidance.w"),
         ("sample", ["guidance.w=inf"], "guidance.w"),
-        ("sample", ["schedule.cosine_offset=-1"], "schedule.cosine_offset"),
-        ("sample", ["schedule.cosine_offset=-0.5"], "schedule.cosine_offset"),
-        ("sample", ["schedule.cosine_offset=nan"], "schedule.cosine_offset"),
+        # the schedule's bound and offset keys are gone: each exits 2 as an
+        # unknown key, whatever its value
+        ("sample", ["schedule.cosine_offset=0.008"], "schedule.cosine_offset"),
+        ("sample", ["schedule.cosine_offset="], "schedule.cosine_offset"),
+        (
+            "sample",
+            ["schedule.kind=linear", "schedule.timesteps=250", "schedule.cosine_offset=0.008"],
+            "schedule.cosine_offset",
+        ),
         ("sample", ["schedule.cosine_offset=1e300"], "schedule.cosine_offset"),
         ("sample", ["guidance.schedule=switch_off"], "guidance.t_mid"),
         ("sample", ["guidance.schedule=switch_off", "guidance.t_mid=400"], "guidance.t_mid"),
@@ -940,7 +958,7 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("sample", ["schedule.timesteps=0"], "schedule.timesteps"),
         ("sample", ["schedule.kind=foo"], "schedule.kind"),
         ("sample", ["schedule.respace=7"], "schedule.respace"),
-        ("sample", ["schedule.kind=linear", "schedule.beta_start=-0.1"], "schedule.beta_start"),
+        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start=0"], "schedule.beta_start"),
         ("sample", ["model.kind=x"], "model.kind"),
         ("sample", ["eval.reference=x"], "eval.reference"),
         # "benchmark" is also a plain word, so the row matches the phrasing
@@ -961,19 +979,10 @@ _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gm
         ("sample", ["eval.reference=real", "eval.reference_size=10000000000000"], "eval.reference_size"),
         ("sample", ["schedule.timesteps=99999999999999999999"], "schedule.timesteps"),
         ("train", ["run.chains=2147483648"], "run.chains"),
-        # the default linear range needs T >= 21: the error names the key the user set
+        # the linear range needs T >= 21: the error names the key the user set
         ("sample", ["schedule.kind=linear", "schedule.timesteps=20"], "schedule.timesteps"),
-        # a linear range error gives each bound the user set and marks each other one as the default
-        (
-            "sample",
-            ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start=0.5"],
-            "schedule.beta_start = 0.5, schedule.beta_end = 0.08 (the default at schedule.timesteps = 250)",
-        ),
-        (
-            "sample",
-            ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_end=0.00001"],
-            "schedule.beta_start = 0.0004 (the default at schedule.timesteps = 250), schedule.beta_end = 1e-05",
-        ),
+        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start="], "schedule.beta_start"),
+        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_end=0.02"], "schedule.beta_end"),
         # every command checks the guidance plan, train too: it runs at this T with guidance.w=0
         ("train", ["schedule.timesteps=4"], "guidance.interval"),
     ],
@@ -1086,23 +1095,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("i/o error: cannot read config") and len(err.splitlines()) == 1, err
     rc = main(["eval", "--config", str(cfg_path), "--samples", str(tmp_path / "missing.csv")])
     assert rc == EXIT_IO
-    # a schedule whose terminal alpha_bar underflows the Tweedie floor
-    rc = main(
-        [
-            "verify",
-            "--config",
-            str(cfg_path),
-            "--set",
-            "schedule.kind=linear",
-            "--set",
-            "schedule.timesteps=200",
-            "--set",
-            "schedule.beta_start=0.2",
-            "--set",
-            "schedule.beta_end=0.5",
-        ]
-    )
+    # a cosine schedule long enough that a guided step's alpha_bar falls below the Tweedie floor
+    args = ["sample", "--config", str(cfg_path), "--chains", "1", "--out", str(tmp_path / "floor")]
+    rc = main(args + ["--set", "schedule.timesteps=100000", "--set", "guidance.interval=1"])
     assert rc == EXIT_NUMERIC
+    assert "too small for Tweedie denoising" in capsys.readouterr().err
     # a checkpoint is outside input: non-finite parameters are an I/O error
     small = ExperimentConfig().with_overrides(SMALL)
     model = MlpEpsModel(small.noise_schedule(), dim=2, hidden=(8,), emb_dim=4)

@@ -16,7 +16,7 @@ from minority_diffusion.minority import (
     tweedie,
 )
 from minority_diffusion.models import GmmScoreModel
-from minority_diffusion.schedule import build_schedule, perturb
+from minority_diffusion.schedule import NoiseSchedule
 
 
 def test_tweedie_single_gaussian_posterior_mean(sched20):
@@ -36,7 +36,8 @@ def test_tweedie_single_gaussian_posterior_mean(sched20):
 
 def test_tweedie_rejects_degenerate_alpha_bar(unit_gauss):
     # a steep schedule drives alpha_bar below the safety floor
-    steep = build_schedule("linear", 200, beta_start=0.2, beta_end=0.5)
+    betas = np.linspace(0.2, 0.5, 200)
+    steep = NoiseSchedule("linear", 200, betas, np.cumprod(1.0 - betas))
     model = GmmScoreModel(unit_gauss, steep)
     assert float(steep.alpha_bar(200)) < 1e-12
     with pytest.raises(NumericDegeneracyError):

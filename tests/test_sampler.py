@@ -469,6 +469,23 @@ def test_tape_rows_match_one_draw_and_are_taken_in_order(chains, rows, shape, mi
         assert next(tape, None) is None  # it stopped after the last row
 
 
+@pytest.mark.parametrize(("kind", "w", "tapes"), [("self", 0.2, (0, 1)), ("self", 0.0, (0,)), ("naive", 0.2, (0,))])
+def test_guided_sample_builds_one_stream_per_chain_and_tape(ring_model20, monkeypatch, kind, w, tapes):
+    # generators built: 2 * chains when self guidance has a non-empty plan,
+    # else chains; naive guidance and w = 0 draw no guidance tape
+    built = []
+
+    def recording_stream(seed, *key):
+        built.append(key)
+        return stream(seed, *key)
+
+    monkeypatch.setattr(sampler, "stream", recording_stream)
+    cfg = GuidanceConfig(w=w, kind=kind)
+    assert bool(guidance_plan(cfg, ring_model20.sched)) == (w > 0)
+    guided_sample(ring_model20, cfg, chains=5, seed=3)
+    assert sorted(built) == [(c, k) for c in range(5) for k in tapes]
+
+
 def test_tape_memory_stays_under_the_whole_tapes():
     # 256 KB rows, so 32-row windows of 8 MB per tape; the generators kept
     # for the run add about 4 MiB. Guidance runs at t >= 170, so its tape
