@@ -142,14 +142,26 @@ class MlpEpsModel(ScoreModel):
         emb_dim: int = 16,
         seed: int = 0,
     ):
+        if emb_dim < 2 or emb_dim % 2:  # sin and cos halves, as a checkpoint header requires
+            raise ConfigError(f"emb_dim must be even and >= 2, got {emb_dim}")
         super().__init__(sched, dim)
         self.hidden = tuple(hidden)
         self.emb_dim = emb_dim
         self.seed = seed
         self.step_count = 0
+        # row t - 1 is sinusoidal_embedding(t): the T timesteps are all the inputs it takes
+        self._emb = sinusoidal_embedding(np.arange(1, sched.T + 1), emb_dim)
+        # (weight slice, weight shape, bias slice) per layer of a params-shaped vector,
+        # laid out W1, b1, W2, b2, ... with each W (fan_in, fan_out)
+        self._layout, pos = [], 0
+        sizes = _mlp_layer_sizes(dim, self.hidden, emb_dim)
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            end = pos + fan_in * fan_out
+            self._layout.append((slice(pos, end), (fan_in, fan_out), slice(end, end + fan_out)))
+            pos = end + fan_out
         rng = np.random.default_rng(seed)
         # every weight and bias is a view into params, in checkpoint order
-        self.params = np.zeros(self.param_count(dim, hidden, emb_dim))
+        self.params = np.zeros(pos)
         self.weights, self.biases = self._layer_views(self.params)
         for w in self.weights:
             w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / sum(w.shape))
@@ -174,22 +186,14 @@ class MlpEpsModel(ScoreModel):
         return sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
 
     def _layer_views(self, flat: np.ndarray):
-        """(weights, biases): per-layer views of a vector laid out like
-        params, which is W1, b1, W2, b2, ... with each W (fan_in, fan_out)."""
-        weights, biases, pos = [], [], 0
-        sizes = _mlp_layer_sizes(self.dim, self.hidden, self.emb_dim)
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            end = pos + fan_in * fan_out
-            weights.append(flat[pos:end].reshape(fan_in, fan_out))
-            biases.append(flat[end : end + fan_out])
-            pos = end + fan_out
-        return weights, biases
+        """(weights, biases): per-layer views of a vector laid out like params."""
+        return [flat[w].reshape(shape) for w, shape, _ in self._layout], [flat[b] for _, _, b in self._layout]
 
     def _forward(self, x2d: np.ndarray, t):
-        emb = sinusoidal_embedding(t, self.emb_dim)
-        if emb.shape[0] == 1 and x2d.shape[0] > 1:
-            emb = np.broadcast_to(emb, (x2d.shape[0], self.emb_dim))
-        h = np.concatenate([x2d, emb], axis=1)
+        self.sched._check_t(t)
+        h = np.empty((x2d.shape[0], x2d.shape[1] + self.emb_dim))  # concat(x, embedding)
+        h[:, : x2d.shape[1]] = x2d
+        h[:, x2d.shape[1] :] = self._emb[t - 1]
         acts = [h]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -205,10 +209,12 @@ class MlpEpsModel(ScoreModel):
         """Backprop a cotangent g on the output through the forward pass that
         recorded acts; returns the cotangent on the input. grad, if given, is
         a vector shaped like params; each layer's weight and bias gradients
-        are written into their views of it. Every hidden-layer array here
-        (the 1 - a^2 factor and each cotangent) is taken from the model's
-        buffer pool and given back as soon as the next layer has used it; the
-        caller's g and the returned input cotangent are never pooled."""
+        are written into their views of it, and the input cotangent, which
+        no caller of that form uses, is not formed: None is returned. Every
+        hidden-layer array here (the 1 - a^2 factor and each cotangent) is
+        taken from the model's buffer pool and given back as soon as the next
+        layer has used it; the caller's g and the returned input cotangent
+        are never pooled."""
         last = len(self.weights) - 1
         grad_w, grad_b = self._layer_views(grad) if grad is not None else (None, None)
         for i in range(last, -1, -1):
@@ -221,6 +227,10 @@ class MlpEpsModel(ScoreModel):
             if grad is not None:
                 np.matmul(acts[i].T, g, out=grad_w[i])
                 np.sum(g, axis=0, out=grad_b[i])
+                if i == 0:
+                    if last:
+                        self._give(g)
+                    return None
             w = self.weights[i]
             g_in = np.matmul(g, w.T, out=self._take((g.shape[0], w.shape[0])) if i else None)
             if i < last:
@@ -232,15 +242,16 @@ class MlpEpsModel(ScoreModel):
         """eps and its input pullback, which reuses the forward activations.
         The pullback stays valid for as long as it is held; its hidden
         activations go back to the buffer pool when it is released.
-        vjp(cotangent, grad) also writes the params gradient into grad."""
+        vjp(cotangent, grad) writes the params gradient into grad instead,
+        and returns None."""
         x = np.asarray(x, float)
         t = np.asarray(t)
         shape = x.shape
         out, acts = self._forward(x.reshape(-1, shape[-1]), t.reshape(-1) if t.ndim else t)
 
         def vjp(cotangent, grad=None):
-            g = np.asarray(cotangent, float).reshape(-1, shape[-1])
-            return self._backward(acts, g, grad)[:, : self.dim].reshape(shape)
+            g = self._backward(acts, np.asarray(cotangent, float).reshape(-1, shape[-1]), grad)
+            return None if g is None else g[:, : self.dim].reshape(shape)
 
         weakref.finalize(vjp, self._give, *acts[1:-1])
         return out.reshape(shape), vjp
@@ -266,7 +277,7 @@ def train_dsm(
     data = np.atleast_2d(np.asarray(data, float))
     if data.shape[0] == 0:
         raise ValueError("training data must be non-empty")
-    grad = np.empty_like(model.params)
+    grad, s1, s2 = (np.empty_like(model.params) for _ in range(3))  # s1, s2: Adam's scratch
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
     history = []
@@ -286,13 +297,16 @@ def train_dsm(
             vjp(2.0 * resid / opts.batch_size, grad)
             del vjp  # its finalizer gives the activations back to the pool
             model.step_count += 1
+            # in place, bitwise equal to m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+            # params -= lr mhat / (sqrt(vhat) + eps); the bias correction tracks this call's Adam state
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=s1)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            mhat = m / (1.0 - ADAM_BETA1 ** (step + 1))  # bias correction tracks this call's Adam state
-            vhat = v / (1.0 - ADAM_BETA2 ** (step + 1))
-            model.params -= opts.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=s1), grad, out=s1)
+            np.multiply(opts.lr, np.divide(m, 1.0 - ADAM_BETA1 ** (step + 1), out=s1), out=s1)
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** (step + 1), out=s2), out=s2)
+            s2 += ADAM_EPS
+            model.params -= np.divide(s1, s2, out=s1)
     if not np.isfinite(model.params).all():  # the loss check never sees the last update
         raise TrainingDivergenceError(step, f"non-finite parameters after training step {step}")
     return history

@@ -35,7 +35,7 @@ class NoiseSchedule:
             ok = 1 <= t <= self.T
         else:
             t = np.asarray(t)
-            ok = not (np.any(t < 1) or np.any(t > self.T))
+            ok = t.dtype.kind in "iu" and (t.size == 0 or 1 <= t.min() and t.max() <= self.T)
         if not ok:
             raise ValueError(f"timestep {t} out of range 1..{self.T}")
 

@@ -908,83 +908,87 @@ def test_cli_rejects_non_positive_train_and_verify_settings(tmp_path, capsys, ar
 _INLINE2 = ["benchmark=inline", "gmm.weights=0.5,0.5", "gmm.means=1,0;-1,0", "gmm.variances=1,1"]
 
 
+# each row's id is its own, the one pytest once numbered by position, so
+# that deleting a row renames no other
 @pytest.mark.parametrize(
     "command, overrides, key",
     [
-        ("sample", ["eval.metric_mc=0"], "eval.metric_mc"),
-        ("sample", ["eval.knn_k=0"], "eval.knn_k"),
-        ("sample", ["eval.knn_k=-1"], "eval.knn_k"),
-        ("sample", ["eval.lof_k=0"], "eval.lof_k"),
-        ("sample", ["eval.reference_size=-1"], "eval.reference_size"),
-        ("sample", ["eval.reference=real", "eval.reference_size=0"], "eval.knn_k"),
-        ("sample", ["eval.reference=real", "eval.reference_size=4"], "eval.lof_k"),
-        ("sample", ["eval.reference=generated", "eval.knn_k=8"], "eval.knn_k"),
-        ("sample", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
-        ("eval", ["eval.knn_k=0"], "eval.knn_k"),
-        ("eval", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k"),
-        ("sample", ["guidance.w=nan"], "guidance.w"),
-        ("sample", ["guidance.w=inf"], "guidance.w"),
+        pytest.param("sample", ["eval.metric_mc=0"], "eval.metric_mc", id="sample-overrides0-eval.metric_mc"),
+        pytest.param("sample", ["eval.knn_k=0"], "eval.knn_k", id="sample-overrides1-eval.knn_k"),
+        pytest.param("sample", ["eval.knn_k=-1"], "eval.knn_k", id="sample-overrides2-eval.knn_k"),
+        pytest.param("sample", ["eval.lof_k=0"], "eval.lof_k", id="sample-overrides3-eval.lof_k"),
+        pytest.param("sample", ["eval.reference_size=-1"], "eval.reference_size", id="sample-overrides4-eval.reference_size"),
+        pytest.param("sample", ["eval.reference=real", "eval.reference_size=0"], "eval.knn_k", id="sample-overrides5-eval.knn_k"),
+        pytest.param("sample", ["eval.reference=real", "eval.reference_size=4"], "eval.lof_k", id="sample-overrides6-eval.lof_k"),
+        pytest.param("sample", ["eval.reference=generated", "eval.knn_k=8"], "eval.knn_k", id="sample-overrides7-eval.knn_k"),
+        pytest.param("sample", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k", id="sample-overrides8-eval.lof_k"),
+        pytest.param("eval", ["eval.knn_k=0"], "eval.knn_k", id="eval-overrides9-eval.knn_k"),
+        pytest.param("eval", ["eval.reference=generated", "eval.lof_k=8"], "eval.lof_k", id="eval-overrides10-eval.lof_k"),
+        pytest.param("sample", ["guidance.w=nan"], "guidance.w", id="sample-overrides11-guidance.w"),
+        pytest.param("sample", ["guidance.w=inf"], "guidance.w", id="sample-overrides12-guidance.w"),
         # the schedule's bound and offset keys are gone: each exits 2 as an
         # unknown key, whatever its value
-        ("sample", ["schedule.cosine_offset=0.008"], "schedule.cosine_offset"),
-        ("sample", ["schedule.cosine_offset="], "schedule.cosine_offset"),
-        (
+        pytest.param("sample", ["schedule.cosine_offset=0.008"], "schedule.cosine_offset", id="sample-overrides13-schedule.cosine_offset"),
+        pytest.param("sample", ["schedule.cosine_offset="], "schedule.cosine_offset", id="sample-overrides14-schedule.cosine_offset"),
+        pytest.param(
             "sample",
             ["schedule.kind=linear", "schedule.timesteps=250", "schedule.cosine_offset=0.008"],
             "schedule.cosine_offset",
+            id="sample-overrides15-schedule.cosine_offset",
         ),
-        ("sample", ["schedule.cosine_offset=1e300"], "schedule.cosine_offset"),
-        ("sample", ["guidance.schedule=switch_off"], "guidance.t_mid"),
-        ("sample", ["guidance.schedule=switch_off", "guidance.t_mid=400"], "guidance.t_mid"),
-        ("sample", ["guidance.t_mid=-3"], "guidance.t_mid"),
-        ("sample", ["guidance_w=0.3"], "guidance_w"),
-        ("sample", ["guidance.w=abc"], "guidance.w"),
+        pytest.param("sample", ["schedule.cosine_offset=1e300"], "schedule.cosine_offset", id="sample-overrides16-schedule.cosine_offset"),
+        pytest.param("sample", ["guidance.schedule=switch_off"], "guidance.t_mid", id="sample-overrides17-guidance.t_mid"),
+        pytest.param("sample", ["guidance.schedule=switch_off", "guidance.t_mid=400"], "guidance.t_mid", id="sample-overrides18-guidance.t_mid"),
+        pytest.param("sample", ["guidance.t_mid=-3"], "guidance.t_mid", id="sample-overrides19-guidance.t_mid"),
+        pytest.param("sample", ["guidance_w=0.3"], "guidance_w", id="sample-overrides20-guidance_w"),
+        pytest.param("sample", ["guidance.w=abc"], "guidance.w", id="sample-overrides21-guidance.w"),
         # a guided config must guide at least one step of the T = 20 chain
-        ("sample", ["guidance.interval=300"], "guidance.interval"),
-        ("sample", ["guidance.t_mid=400"], "guidance.t_mid"),
-        (
+        pytest.param("sample", ["guidance.interval=300"], "guidance.interval", id="sample-overrides22-guidance.interval"),
+        pytest.param("sample", ["guidance.t_mid=400"], "guidance.t_mid", id="sample-overrides23-guidance.t_mid"),
+        pytest.param(
             "sample",
             ["schedule.timesteps=250", "guidance.schedule=switch_off", "guidance.t_mid=249", "guidance.interval=100"],
             "guidance.interval",
+            id="sample-overrides24-guidance.interval",
         ),
         # every config error names its key
-        ("sample", ["guidance.w=-1"], "guidance.w"),
-        ("sample", ["guidance.interval=0"], "guidance.interval"),
-        ("sample", ["guidance.s_fraction=1"], "guidance.s_fraction"),
-        ("sample", ["guidance.mc_samples=0"], "guidance.mc_samples"),
-        ("sample", ["guidance.schedule=lin"], "guidance.schedule"),
-        ("sample", ["guidance.sg=x"], "guidance.sg"),
-        ("sample", ["guidance.kind=x"], "guidance.kind"),
-        ("sample", ["schedule.timesteps=0"], "schedule.timesteps"),
-        ("sample", ["schedule.kind=foo"], "schedule.kind"),
-        ("sample", ["schedule.respace=7"], "schedule.respace"),
-        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start=0"], "schedule.beta_start"),
-        ("sample", ["model.kind=x"], "model.kind"),
-        ("sample", ["eval.reference=x"], "eval.reference"),
+        pytest.param("sample", ["guidance.w=-1"], "guidance.w", id="sample-overrides25-guidance.w"),
+        pytest.param("sample", ["guidance.interval=0"], "guidance.interval", id="sample-overrides26-guidance.interval"),
+        pytest.param("sample", ["guidance.s_fraction=1"], "guidance.s_fraction", id="sample-overrides27-guidance.s_fraction"),
+        pytest.param("sample", ["guidance.mc_samples=0"], "guidance.mc_samples", id="sample-overrides28-guidance.mc_samples"),
+        pytest.param("sample", ["guidance.schedule=lin"], "guidance.schedule", id="sample-overrides29-guidance.schedule"),
+        pytest.param("sample", ["guidance.sg=x"], "guidance.sg", id="sample-overrides30-guidance.sg"),
+        pytest.param("sample", ["guidance.kind=x"], "guidance.kind", id="sample-overrides31-guidance.kind"),
+        pytest.param("sample", ["schedule.timesteps=0"], "schedule.timesteps", id="sample-overrides32-schedule.timesteps"),
+        pytest.param("sample", ["schedule.kind=foo"], "schedule.kind", id="sample-overrides33-schedule.kind"),
+        pytest.param("sample", ["schedule.respace=7"], "schedule.respace", id="sample-overrides34-schedule.respace"),
+        pytest.param("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start=0"], "schedule.beta_start", id="sample-overrides35-schedule.beta_start"),
+        pytest.param("sample", ["model.kind=x"], "model.kind", id="sample-overrides36-model.kind"),
+        pytest.param("sample", ["eval.reference=x"], "eval.reference", id="sample-overrides37-eval.reference"),
         # "benchmark" is also a plain word, so the row matches the phrasing
-        ("sample", ["benchmark=x"], "benchmark must be"),
-        ("sample", ["benchmark=inline", "gmm.weights=1", "gmm.means=0,0", "gmm.variances=-1"], "gmm.variances"),
-        ("sample", ["benchmark=inline", "gmm.weights=a", "gmm.means=0,0", "gmm.variances=1"], "gmm.weights"),
+        pytest.param("sample", ["benchmark=x"], "benchmark must be", id="sample-overrides38-benchmark must be"),
+        pytest.param("sample", ["benchmark=inline", "gmm.weights=1", "gmm.means=0,0", "gmm.variances=-1"], "gmm.variances", id="sample-overrides39-gmm.variances"),
+        pytest.param("sample", ["benchmark=inline", "gmm.weights=a", "gmm.means=0,0", "gmm.variances=1"], "gmm.weights", id="sample-overrides40-gmm.weights"),
         # every number of an inline mixture must be finite
-        ("sample", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
-        ("sample", [*_INLINE2, "gmm.means=nan,0;1,0"], "gmm.means"),
-        ("sample", [*_INLINE2, "gmm.variances=inf,1"], "gmm.variances"),
-        ("eval", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
-        ("train", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights"),
-        ("verify", [*_INLINE2, "gmm.variances=nan,1"], "gmm.variances"),
+        pytest.param("sample", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights", id="sample-overrides41-gmm.weights"),
+        pytest.param("sample", [*_INLINE2, "gmm.means=nan,0;1,0"], "gmm.means", id="sample-overrides42-gmm.means"),
+        pytest.param("sample", [*_INLINE2, "gmm.variances=inf,1"], "gmm.variances", id="sample-overrides43-gmm.variances"),
+        pytest.param("eval", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights", id="eval-overrides44-gmm.weights"),
+        pytest.param("train", [*_INLINE2, "gmm.weights=nan,nan"], "gmm.weights", id="train-overrides45-gmm.weights"),
+        pytest.param("verify", [*_INLINE2, "gmm.variances=nan,1"], "gmm.variances", id="verify-overrides46-gmm.variances"),
         # every integer key but run.seed is at most 2**31 - 1
-        ("sample", ["guidance.mc_samples=100000000000"], "guidance.mc_samples"),
-        ("sample", ["guidance.mc_samples=4611686018427387904"], "guidance.mc_samples"),
-        ("sample", ["eval.metric_mc=99999999999999999999"], "eval.metric_mc"),
-        ("sample", ["eval.reference=real", "eval.reference_size=10000000000000"], "eval.reference_size"),
-        ("sample", ["schedule.timesteps=99999999999999999999"], "schedule.timesteps"),
-        ("train", ["run.chains=2147483648"], "run.chains"),
+        pytest.param("sample", ["guidance.mc_samples=100000000000"], "guidance.mc_samples", id="sample-overrides47-guidance.mc_samples"),
+        pytest.param("sample", ["guidance.mc_samples=4611686018427387904"], "guidance.mc_samples", id="sample-overrides48-guidance.mc_samples"),
+        pytest.param("sample", ["eval.metric_mc=99999999999999999999"], "eval.metric_mc", id="sample-overrides49-eval.metric_mc"),
+        pytest.param("sample", ["eval.reference=real", "eval.reference_size=10000000000000"], "eval.reference_size", id="sample-overrides50-eval.reference_size"),
+        pytest.param("sample", ["schedule.timesteps=99999999999999999999"], "schedule.timesteps", id="sample-overrides51-schedule.timesteps"),
+        pytest.param("train", ["run.chains=2147483648"], "run.chains", id="train-overrides52-run.chains"),
         # the linear range needs T >= 21: the error names the key the user set
-        ("sample", ["schedule.kind=linear", "schedule.timesteps=20"], "schedule.timesteps"),
-        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start="], "schedule.beta_start"),
-        ("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_end=0.02"], "schedule.beta_end"),
+        pytest.param("sample", ["schedule.kind=linear", "schedule.timesteps=20"], "schedule.timesteps", id="sample-overrides53-schedule.timesteps"),
+        pytest.param("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_start="], "schedule.beta_start", id="sample-overrides54-schedule.beta_start"),
+        pytest.param("sample", ["schedule.kind=linear", "schedule.timesteps=250", "schedule.beta_end=0.02"], "schedule.beta_end", id="sample-overrides55-schedule.beta_end"),
         # every command checks the guidance plan, train too: it runs at this T with guidance.w=0
-        ("train", ["schedule.timesteps=4"], "guidance.interval"),
+        pytest.param("train", ["schedule.timesteps=4"], "guidance.interval", id="train-overrides56-guidance.interval"),
     ],
 )
 def test_cli_rejects_eval_settings_that_cannot_work(

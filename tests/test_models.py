@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minority_diffusion
 
@@ -27,7 +29,7 @@ from minority_diffusion.models import (
     train_dsm,
 )
 from minority_diffusion.sampler import GuidanceConfig, guided_sample
-from minority_diffusion.schedule import build_schedule
+from minority_diffusion.schedule import build_schedule, respace
 
 
 def test_score_eps_relation_is_exact(ring_model20):
@@ -96,6 +98,12 @@ def test_every_model_carries_its_dimension(ring_model20, mlp20, sched20):
     assert GmmScoreModel(spec16, sched20).dim == 16
     assert CallCountingModel(GmmScoreModel(spec16, sched20)).dim == 16
     assert MlpEpsModel(sched20, dim=3, hidden=(4,), emb_dim=4).dim == 3
+    assert MlpEpsModel(sched20, dim=3, hidden=(4,), emb_dim=2).dim == 3
+    # a checkpoint holds only an even emb_dim >= 2 (sin and cos halves), so
+    # no other network may be built, trained and saved unloadable
+    for emb_dim in (0, -2, 1, 5):
+        with pytest.raises(ConfigError, match="emb_dim"):
+            MlpEpsModel(sched20, dim=3, hidden=(4,), emb_dim=emb_dim)
 
 
 def test_sinusoidal_embedding_shape_and_range():
@@ -103,6 +111,79 @@ def test_sinusoidal_embedding_shape_and_range():
     assert emb.shape == (3, 16)
     assert np.all(np.abs(emb) <= 1.0)
     assert not np.allclose(emb[0], emb[1])
+
+
+@pytest.mark.parametrize("T", [1, 20, 250, 1000])
+def test_mlp_embedding_table_is_the_sinusoidal_embedding(T):
+    # the model reads timestep t's embedding from row t - 1 of a table it
+    # builds once; every row must be what sinusoidal_embedding gives for t
+    # alone, to the last bit, and a timestep outside 1..T or not an integer
+    # has no row
+    model = MlpEpsModel(build_schedule("cosine", T), dim=2, hidden=(4,), emb_dim=8)
+    assert model._emb.shape == (T, 8)
+    for t in range(1, T + 1):
+        np.testing.assert_array_equal(model._emb[t - 1], sinusoidal_embedding(t, 8)[0])
+    x = np.zeros((3, 2))
+    for bad in (0, T + 1, 2.5, np.array([1, 0, 1]), np.array([1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="timestep"):
+            model.eps(x, bad)
+        with pytest.raises(ValueError, match="timestep"):
+            model.linearize(x, bad)
+
+
+def _reference_dsm(weights, biases, data, sched, opts, rng):
+    """train_dsm in plain numpy: per-step embeddings, the backward pass by
+    hand with @ and np.tanh, and one Adam update per parameter array."""
+    params = [p.copy() for pair in zip(weights, biases) for p in pair]
+    m, v, history = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], []
+    b1, b2 = 0.9, 0.999
+    for step in range(opts.steps):
+        x0 = data[rng.integers(0, data.shape[0], size=opts.batch_size)]
+        t = rng.integers(1, sched.T + 1, size=opts.batch_size)
+        noise = rng.standard_normal(x0.shape)
+        ab = sched.alpha_bar(t)[:, None]
+        xt = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+        acts = [np.concatenate([xt, sinusoidal_embedding(t, weights[0].shape[0] - data.shape[1])], axis=1)]
+        for i in range(0, len(params), 2):
+            h = acts[-1] @ params[i] + params[i + 1]
+            acts.append(np.tanh(h) if i < len(params) - 2 else h)
+        resid = acts.pop() - noise
+        history.append(float(np.sum(resid * resid) / opts.batch_size))
+        g, grads = 2.0 * resid / opts.batch_size, []
+        for i in range(len(params) - 2, -1, -2):
+            grads[:0] = [acts[i // 2].T @ g, np.sum(g, axis=0)]
+            if i:
+                g = (g @ params[i].T) * (1 - acts[i // 2] ** 2)
+        for p, mi, vi, gr in zip(params, m, v, grads):
+            mi[...] = b1 * mi + (1.0 - b1) * gr
+            vi[...] = b2 * vi + (1.0 - b2) * gr * gr
+            p -= opts.lr * (mi / (1.0 - b1 ** (step + 1))) / (np.sqrt(vi / (1.0 - b2 ** (step + 1))) + ADAM_EPS)
+    return params, history
+
+
+_ORACLE_SCHEDULES = [build_schedule("cosine", 20), build_schedule("linear", 250), respace(build_schedule("linear", 250), 50)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([(8,), (16, 16)]),
+    emb_dim=st.sampled_from([4, 8]),
+    dim=st.integers(1, 3),
+    sched=st.sampled_from(_ORACLE_SCHEDULES),
+    batch_size=st.integers(1, 64),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_dsm_equals_a_plain_numpy_reference_bitwise(hidden, emb_dim, dim, sched, batch_size, steps, seed):
+    # the embedding table, the in-place Adam and the pullback that stops at
+    # the parameter gradient change no bit of the parameters or the losses
+    data = np.random.default_rng(seed).normal(size=(50, dim))
+    model = MlpEpsModel(sched, dim=dim, hidden=hidden, emb_dim=emb_dim, seed=seed)
+    opts = TrainOptions(steps=steps, batch_size=batch_size)
+    want, want_history = _reference_dsm(model.weights, model.biases, data, sched, opts, np.random.default_rng(seed))
+    history = train_dsm(model, data, sched, opts, np.random.default_rng(seed))
+    assert history == want_history
+    np.testing.assert_array_equal(model.params, np.concatenate([p.ravel() for p in want]))
 
 
 def test_train_dsm_learns_unit_gaussian():
